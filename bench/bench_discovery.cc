@@ -72,15 +72,13 @@ void BM_DiscoveryBruteForceLhs3(benchmark::State& state) {
 BENCHMARK(BM_DiscoveryBruteForceLhs3)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-// The engine against itself across cluster-storage modes: CSR arena vs the
-// vector-of-vectors reference, same lattice, same cache policy. Isolates
-// what the memory layout alone buys discovery's intersection sweeps.
-void RunEngineDiscoveryStorage(benchmark::State& state, bool reference) {
+// The engine at |X| <= 3 over CSR-arena partitions: discovery's
+// intersection sweeps at the cache policy the library ships with.
+void BM_DiscoveryArenaStorage(benchmark::State& state) {
   std::vector<Tuple> rows = MakeRows(static_cast<size_t>(state.range(0)), 9);
   AttrSet universe = UniverseOf(rows);
   EngineDiscoveryOptions options;
   options.max_lhs_size = 3;
-  options.reference_storage = reference;
   for (auto _ : state) {
     DependencySet deps = EngineDiscoverDependencies(rows, universe, options);
     benchmark::DoNotOptimize(deps);
@@ -89,16 +87,7 @@ void RunEngineDiscoveryStorage(benchmark::State& state, bool reference) {
                           state.range(0));
 }
 
-void BM_DiscoveryArenaStorage(benchmark::State& state) {
-  RunEngineDiscoveryStorage(state, /*reference=*/false);
-}
 BENCHMARK(BM_DiscoveryArenaStorage)->Arg(10000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DiscoveryReferenceStorage(benchmark::State& state) {
-  RunEngineDiscoveryStorage(state, /*reference=*/true);
-}
-BENCHMARK(BM_DiscoveryReferenceStorage)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
 // The wide planted-FD shape hybrid discovery exists for: many attributes,
@@ -141,15 +130,13 @@ std::vector<Tuple> MakeWidePlanted(AttrId num_attrs, size_t num_rows,
 }
 
 void RunWidePlantedDiscovery(benchmark::State& state,
-                             DiscoveryStrategy strategy,
-                             bool use_codes = true) {
+                             DiscoveryStrategy strategy) {
   AttrSet universe;
   std::vector<Tuple> rows =
       MakeWidePlanted(static_cast<AttrId>(state.range(0)), 2048, &universe);
   EngineDiscoveryOptions options;
   options.max_lhs_size = 2;
   options.strategy = strategy;
-  options.use_codes = use_codes;
   for (auto _ : state) {
     DependencySet deps = EngineDiscoverDependencies(rows, universe, options);
     benchmark::DoNotOptimize(deps);
@@ -162,17 +149,6 @@ void BM_DiscoveryHybrid(benchmark::State& state) {
   RunWidePlantedDiscovery(state, DiscoveryStrategy::kHybrid);
 }
 BENCHMARK(BM_DiscoveryHybrid)->Arg(32)->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
-// Hybrid on the value-keyed oracle (EngineDiscoveryOptions::use_codes =
-// false): sampled pairs merge sorted Value fields and single-attribute
-// partitions hash Values, where the default compares code cells and
-// counting-sorts. Same results by construction (engine_dictionary_test).
-void BM_DiscoveryHybridValueKeyed(benchmark::State& state) {
-  RunWidePlantedDiscovery(state, DiscoveryStrategy::kHybrid,
-                          /*use_codes=*/false);
-}
-BENCHMARK(BM_DiscoveryHybridValueKeyed)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 // Level-wise on the identical wide instance (arena storage, the engine

@@ -81,13 +81,11 @@ void BM_PliBuildPairDirect(benchmark::State& state) {
 }
 BENCHMARK(BM_PliBuildPairDirect)->Arg(1000)->Arg(10000)->Arg(100000);
 
-// Integer-valued refinement of cached single-attribute partitions, per
-// cluster-storage mode: the CSR arena (default) against the historical
-// vector-of-vectors reference it replaced.
-void PliIntersectBench(benchmark::State& state, Pli::Storage storage) {
+// Integer-valued refinement of cached single-attribute partitions.
+void BM_PliIntersect(benchmark::State& state) {
   std::vector<Tuple> rows = MakeRows(static_cast<size_t>(state.range(0)), 5);
-  Pli a = Pli::Build(rows, AttrId{1}, storage);
-  Pli b = Pli::Build(rows, AttrId{2}, storage);
+  Pli a = Pli::Build(rows, AttrId{1});
+  Pli b = Pli::Build(rows, AttrId{2});
   PliProbe probe = b.BuildProbe();  // amortized by the cache's probe memo
   for (auto _ : state) {
     Pli product = a.IntersectWithProbe(probe);
@@ -96,32 +94,21 @@ void PliIntersectBench(benchmark::State& state, Pli::Storage storage) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-void BM_PliIntersect(benchmark::State& state) {
-  PliIntersectBench(state, Pli::Storage::kArena);
-}
-void BM_PliIntersectReference(benchmark::State& state) {
-  PliIntersectBench(state, Pli::Storage::kVectors);
-}
 BENCHMARK(BM_PliIntersect)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_PliIntersectReference)->Arg(1000)->Arg(10000)->Arg(100000);
 
 // A full |X| = 2 lattice level through a cold cache: every pair partition
-// assembled out of pinned single-attribute partitions. The value-keyed
-// twin pins PliCacheOptions::use_codes = false. On a cold cache the pair
-// must measure at parity: no consumer asked for a code column, so the
-// coded plane stays dormant and both modes hash-build their seeds (the
-// regression this guards is BuildFor eagerly materializing columns —
-// strictly worse than the hash build it replaces). The counting-sort win
-// itself is BM_PliBuildSingleAttrCoded's to show.
-void PliCacheLevelSweepBench(benchmark::State& state, bool use_codes) {
+// assembled out of pinned single-attribute partitions. No consumer asks
+// for a code column here, so the seeds hash-build (BuildFor materializing
+// columns eagerly would be strictly worse than the hash build it
+// replaces); the counting-sort win itself is BM_PliBuildSingleAttrCoded's
+// to show.
+void BM_PliCacheLevelSweep(benchmark::State& state) {
   std::vector<Tuple> rows = MakeRows(static_cast<size_t>(state.range(0)), 5);
   AttrSet universe;
   for (const Tuple& t : rows) universe = universe.Union(t.attrs());
   const std::vector<AttrId>& ids = universe.ids();
-  PliCache::Options options;
-  options.use_codes = use_codes;
   for (auto _ : state) {
-    PliCache cache(&rows, options);
+    PliCache cache(&rows);
     for (size_t i = 0; i < ids.size(); ++i) {
       for (size_t j = i + 1; j < ids.size(); ++j) {
         benchmark::DoNotOptimize(cache.Get(AttrSet{ids[i], ids[j]}));
@@ -131,19 +118,11 @@ void PliCacheLevelSweepBench(benchmark::State& state, bool use_codes) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-void BM_PliCacheLevelSweep(benchmark::State& state) {
-  PliCacheLevelSweepBench(state, /*use_codes=*/true);
-}
-void BM_PliCacheLevelSweepValueKeyed(benchmark::State& state) {
-  PliCacheLevelSweepBench(state, /*use_codes=*/false);
-}
 BENCHMARK(BM_PliCacheLevelSweep)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_PliCacheLevelSweepValueKeyed)->Arg(1000)->Arg(10000);
 
 // Dense categorical rows: every attribute present on every row, values in
 // [0, spread) — the regime where every lattice-level product carries
-// hundreds of clusters and the vector-of-vectors layout pays one heap
-// allocation per cluster per intersection.
+// hundreds of clusters.
 std::vector<Tuple> MakeDenseRows(size_t n, AttrId num_attrs, int64_t spread,
                                  uint64_t seed) {
   Rng rng(seed);
@@ -164,15 +143,15 @@ std::vector<Tuple> MakeDenseRows(size_t n, AttrId num_attrs, int64_t spread,
 // pinned and amortized over every lattice level) and each iteration
 // assembles the full |X| = 2 and |X| = 3 candidate levels by probe-based
 // refinement over a dense categorical instance — the allocation-bound work
-// the CSR arena exists to accelerate, isolated from the
-// storage-independent single-attribute hash builds.
-void PliLevelSweepBench(benchmark::State& state, Pli::Storage storage) {
+// the CSR arena exists to accelerate, isolated from the single-attribute
+// hash builds.
+void BM_PliLevelSweep(benchmark::State& state) {
   std::vector<Tuple> rows =
       MakeDenseRows(static_cast<size_t>(state.range(0)), 8, 10, 5);
   std::vector<Pli> singles;
   std::vector<PliProbe> probes;
   for (AttrId id = 0; id < 8; ++id) {
-    singles.push_back(Pli::Build(rows, id, storage));
+    singles.push_back(Pli::Build(rows, id));
     probes.push_back(singles.back().BuildProbe());
   }
   for (auto _ : state) {
@@ -189,19 +168,12 @@ void PliLevelSweepBench(benchmark::State& state, Pli::Storage storage) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           state.range(0));
 }
-void BM_PliLevelSweep(benchmark::State& state) {
-  PliLevelSweepBench(state, Pli::Storage::kArena);
-}
-void BM_PliLevelSweepReference(benchmark::State& state) {
-  PliLevelSweepBench(state, Pli::Storage::kVectors);
-}
 BENCHMARK(BM_PliLevelSweep)->Arg(1000)->Arg(10000);
-BENCHMARK(BM_PliLevelSweepReference)->Arg(1000)->Arg(10000);
 
 // ---------------------------------------------------------------------------
 // Mutate-then-query: the workload incremental maintenance exists for. Each
 // iteration applies `mutations` (state.range(1)) random updates and then
-// runs a query mix over the attached cache — a value-index selection shape
+// runs a query mix over the attached cache — a code-column selection shape
 // plus single- and two-attribute partition reads. Four maintenance modes:
 //
 //   Incremental — per-row Update() calls under the default adaptive
@@ -227,11 +199,9 @@ enum class MaintenanceMode {
 };
 
 FlexibleRelation RelationOf(const std::vector<Tuple>& rows,
-                            MaintenanceMode mode,
-                            bool arena_storage = true) {
+                            MaintenanceMode mode) {
   FlexibleRelation rel = FlexibleRelation::Derived("bench", DependencySet());
   PliCacheOptions options;
-  options.arena_storage = arena_storage;
   // Locked in-place mode: these benches compare the flush-policy arms
   // (coalescing + patch/batch/drop choice), which only exists in its pure
   // form with lazy read-side flushing — COW mode flushes (and pays a
@@ -255,13 +225,13 @@ FlexibleRelation RelationOf(const std::vector<Tuple>& rows,
 // reads (algebra/evaluate.cc SelectViaIndex and DistinctOn).
 void QueryCache(FlexibleRelation* rel) {
   std::shared_ptr<PliCache> cache = rel->pli_cache();
-  benchmark::DoNotOptimize(cache->IndexFor(kJobtype));
+  benchmark::DoNotOptimize(cache->CodeColumnFor(kJobtype));
   benchmark::DoNotOptimize(cache->Get(AttrSet::Of(kJobtype)));
   benchmark::DoNotOptimize(cache->Get(AttrSet{kJobtype, kCommon}));
 }
 
 void MutateThenQuery(benchmark::State& state, MaintenanceMode mode,
-                     bool staged_batches, bool arena_storage = true) {
+                     bool staged_batches) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int mutations = static_cast<int>(state.range(1));
   std::vector<Tuple> rows = MakeRows(n, 5);
@@ -275,7 +245,7 @@ void MutateThenQuery(benchmark::State& state, MaintenanceMode mode,
       }
     }
   }
-  FlexibleRelation rel = RelationOf(rows, mode, arena_storage);
+  FlexibleRelation rel = RelationOf(rows, mode);
   QueryCache(&rel);  // attach and warm the cache
   Rng rng(99);
   std::vector<FlexibleRelation::UpdateSpec> burst;
@@ -332,12 +302,6 @@ void BM_MutateThenQueryIncremental(benchmark::State& state) {
 void BM_MutateThenQueryBatched(benchmark::State& state) {
   MutateThenQuery(state, MaintenanceMode::kAdaptive, /*staged_batches=*/true);
 }
-// The same staged bursts over vector-of-vectors clusters: the storage
-// reference the arena must beat (perf_smoke hard-fails an inversion).
-void BM_MutateThenQueryBatchedReference(benchmark::State& state) {
-  MutateThenQuery(state, MaintenanceMode::kAdaptive, /*staged_batches=*/true,
-                  /*arena_storage=*/false);
-}
 void BM_MutateThenQueryPerRow(benchmark::State& state) {
   MutateThenQuery(state, MaintenanceMode::kPinnedPerRow,
                   /*staged_batches=*/false);
@@ -354,32 +318,29 @@ void BM_MutateThenQueryRebuild(benchmark::State& state) {
       ->Args({100000, 1})->Args({100000, 8})->Args({100000, 64})
 FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryIncremental);
 FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryBatched);
-FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryBatchedReference);
 FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryPerRow);
 FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryRebuild);
 #undef FLEXREL_MUTATE_SWEEP
 
 // The engine-side cost of one batched flush: a 64-update burst staged
-// straight into the cache's delta buffer (OnUpdateBatch) and flushed by the
+// straight into the cache's delta buffer (OnBatch) and flushed by the
 // next read — the value-index splices, the group-applies, the probe
 // patches, and the multi-attribute re-intersections, isolated from the
 // transactional validation FlexibleRelation layers above them
 // (BM_MutateThenQueryBatched measures the full round). The dense instance
 // keeps pair/triple partitions cluster-rich, so the burst saturates them
-// and every read pays the re-intersections the arena accelerates. Arena vs
-// the vector-of-vectors reference; perf_smoke hard-fails an inversion.
-void CacheBatchedFlushBench(benchmark::State& state, bool arena) {
+// and every read pays the re-intersections the arena accelerates.
+void BM_CacheBatchedFlush(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int mutations = static_cast<int>(state.range(1));
   std::vector<Tuple> rows = MakeDenseRows(n, 8, 10, 5);
   PliCacheOptions options;
-  options.arena_storage = arena;
   // Locked mode isolates the flush work itself; COW publication costs are
   // BM_SnapshotReadStorm*'s axis (see RelationOf).
   options.cow_reads = false;
   PliCache cache(&rows, options);
   auto query = [&cache] {
-    benchmark::DoNotOptimize(cache.IndexFor(0));
+    benchmark::DoNotOptimize(cache.CodeColumnFor(0));
     benchmark::DoNotOptimize(cache.Get(AttrSet::Of(0)));
     benchmark::DoNotOptimize(cache.Get(AttrSet{0, 1}));
     benchmark::DoNotOptimize(cache.Get(AttrSet{0, 2}));
@@ -399,7 +360,7 @@ void CacheBatchedFlushBench(benchmark::State& state, bool arena) {
       rows[row].Set(static_cast<AttrId>(rng.Index(3)),
                     Value::Int(rng.UniformInt(0, 9)));
     }
-    cache.OnUpdateBatch(std::move(burst));
+    cache.OnBatch(/*first_inserted=*/0, /*insert_count=*/0, std::move(burst));
     burst = {};
     query();
   }
@@ -408,15 +369,7 @@ void CacheBatchedFlushBench(benchmark::State& state, bool arena) {
   // Flush/probe maintenance counters live in the telemetry dump
   // (--metrics_json=PATH, engine.pli_cache.* names).
 }
-void BM_CacheBatchedFlush(benchmark::State& state) {
-  CacheBatchedFlushBench(state, /*arena=*/true);
-}
-void BM_CacheBatchedFlushReference(benchmark::State& state) {
-  CacheBatchedFlushBench(state, /*arena=*/false);
-}
 BENCHMARK(BM_CacheBatchedFlush)
-    ->ArgNames({"rows", "muts"})->Args({10000, 64});
-BENCHMARK(BM_CacheBatchedFlushReference)
     ->ArgNames({"rows", "muts"})->Args({10000, 64});
 
 // Append-then-query: the insert path. The relation is reset (untimed) every
@@ -577,8 +530,8 @@ void SnapshotReadStorm(benchmark::State& state, bool cow) {
     (void)cache->Get(AttrSet::Of(kJobtype));
     (void)cache->Get(AttrSet::Of(kCommon));
     (void)cache->Get(AttrSet{kJobtype, kCommon});
-    (void)cache->IndexFor(kJobtype);
-    (void)cache->IndexFor(kCommon);
+    (void)cache->CodeColumnFor(kJobtype);
+    (void)cache->CodeColumnFor(kCommon);
     stop.store(false, std::memory_order_release);
     for (int w = 0; w < writers; ++w) {
       writer_threads.emplace_back([w] {
@@ -603,11 +556,11 @@ void SnapshotReadStorm(benchmark::State& state, bool cow) {
       std::lock_guard<std::mutex> lock(write_mu);
       benchmark::DoNotOptimize(cache->Get(AttrSet::Of(kJobtype)));
       benchmark::DoNotOptimize(cache->Get(AttrSet{kJobtype, kCommon}));
-      benchmark::DoNotOptimize(cache->IndexFor(kCommon));
+      benchmark::DoNotOptimize(cache->CodeColumnFor(kCommon));
     } else {
       benchmark::DoNotOptimize(cache->Get(AttrSet::Of(kJobtype)));
       benchmark::DoNotOptimize(cache->Get(AttrSet{kJobtype, kCommon}));
-      benchmark::DoNotOptimize(cache->IndexFor(kCommon));
+      benchmark::DoNotOptimize(cache->CodeColumnFor(kCommon));
     }
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));

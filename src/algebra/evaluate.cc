@@ -34,8 +34,7 @@ namespace {
 
 // Merges sorted pairwise-disjoint row lists back into scan order — the
 // equality case is a plain copy, IN lists fold in pairwise with exact-size
-// allocations (no concat-then-sort). Shared by the value-keyed and coded
-// lookup twins so the merge discipline cannot drift between them.
+// allocations (no concat-then-sort).
 std::vector<Pli::RowId> MergeMatchLists(
     const std::vector<const std::vector<Pli::RowId>*>& lists) {
   if (lists.empty()) return {};
@@ -69,29 +68,16 @@ void ForEachLiteral(const Expr& formula, Fn&& add_value) {
 
 }  // namespace
 
-std::vector<Pli::RowId> IndexMatches(const PliCache::ValueIndex& index,
+std::vector<Pli::RowId> CodedMatches(const CodeColumn& column,
                                      const Expr& formula) {
-  // Borrow the matching values' clusters from the index — each is an
-  // ascending row list, and distinct values own pairwise disjoint rows.
+  // A literal resolves to a dense code (one dictionary probe) and its rows
+  // come from the column's bucket array — each an ascending row list, and
+  // distinct codes own pairwise disjoint rows.
   std::vector<const std::vector<Pli::RowId>*> lists;
   ForEachLiteral(formula, [&](const Value& v) {
     // Comparing a null (or comparing against one) yields Unknown under the
-    // Kleene semantics, never True — so the Null cluster stays out.
+    // Kleene semantics, never True — so the null bucket stays out.
     if (v.is_null()) return;
-    auto it = index.find(v);
-    if (it != index.end()) lists.push_back(&it->second);
-  });
-  return MergeMatchLists(lists);
-}
-
-std::vector<Pli::RowId> CodedMatches(const CodeColumn& column,
-                                     const Expr& formula) {
-  // Same structure as IndexMatches, but a literal resolves to a dense code
-  // (one dictionary probe) and its rows come from the column's bucket
-  // array instead of the value-hashed index.
-  std::vector<const std::vector<Pli::RowId>*> lists;
-  ForEachLiteral(formula, [&](const Value& v) {
-    if (v.is_null()) return;  // Kleene: null literals never match.
     CodeColumn::Code code = column.CodeOf(v);
     if (code == CodeColumn::kMissingCode) return;  // never interned
     const std::vector<Pli::RowId>& bucket = column.Bucket(code);
@@ -143,9 +129,6 @@ class Evaluator {
                                     const FlexibleRelation& right,
                                     bool final_output);
   Result<FlexibleRelation> JoinNested(const FlexibleRelation& left,
-                                      const FlexibleRelation& right,
-                                      bool final_output);
-  Result<FlexibleRelation> JoinHashed(const FlexibleRelation& left,
                                       const FlexibleRelation& right,
                                       bool final_output);
   Result<FlexibleRelation> JoinHashedCoded(const FlexibleRelation& left,
@@ -228,8 +211,7 @@ Result<FlexibleRelation> Evaluator::JoinPair(const FlexibleRelation& left,
                                              const FlexibleRelation& right,
                                              bool final_output) {
   if (!options_.use_engine) return JoinNested(left, right, final_output);
-  return options_.use_codes ? JoinHashedCoded(left, right, final_output)
-                            : JoinHashed(left, right, final_output);
+  return JoinHashedCoded(left, right, final_output);
 }
 
 Result<FlexibleRelation> Evaluator::JoinNested(const FlexibleRelation& left,
@@ -251,67 +233,6 @@ Result<FlexibleRelation> Evaluator::JoinNested(const FlexibleRelation& left,
   CountNestedProbes(probes);
   Dedup(&rows);
   CountJoinOutput(rows.size(), final_output);
-  for (Tuple& t : rows) out.InsertUnchecked(std::move(t));
-  return out;
-}
-
-// The signature-grouped hash join. Because schemes are heterogeneous, the
-// shared attributes vary per tuple *pair*; a single-key hash join would be
-// wrong. But grouping the build side by T = attrs(b) ∩ active(probe side)
-// fixes the pair-shared set per (probe tuple, group): for every b in group
-// T, shared(a, b) = attrs(a) ∩ T. One lazily built sub-index per (T, K)
-// then turns compatibility into a hash lookup whose hits are exactly the
-// cluster-compatible pairs — join_probes counts those, not all n·m pairs.
-Result<FlexibleRelation> Evaluator::JoinHashed(const FlexibleRelation& left,
-                                               const FlexibleRelation& right,
-                                               bool final_output) {
-  const bool build_right = right.size() <= left.size();
-  const FlexibleRelation& build = build_right ? right : left;
-  const FlexibleRelation& probe = build_right ? left : right;
-  const AttrSet probe_active = probe.ActiveAttrs();
-
-  using Bucket = std::vector<const Tuple*>;
-  struct Group {
-    Bucket rows;
-    // K = attrs(a) ∩ T  ->  projection-on-K  ->  build rows carrying it.
-    std::unordered_map<AttrSet,
-                       std::unordered_map<Tuple, Bucket, TupleHash>,
-                       AttrSetHash>
-        by_key;
-  };
-  std::unordered_map<AttrSet, Group, AttrSetHash> groups;
-  for (const Tuple& b : build.rows()) {
-    groups[b.attrs().Intersect(probe_active)].rows.push_back(&b);
-  }
-
-  std::vector<Tuple> rows;
-  size_t probes = 0;
-  for (const Tuple& a : probe.rows()) {
-    const AttrSet a_attrs = a.attrs();
-    for (auto& [signature, group] : groups) {
-      AttrSet key = a_attrs.Intersect(signature);
-      auto [index_it, missing] = group.by_key.try_emplace(key);
-      if (missing) {
-        for (const Tuple* b : group.rows) {
-          index_it->second[b->Project(key)].push_back(b);
-        }
-      }
-      auto bucket = index_it->second.find(a.Project(key));
-      if (bucket == index_it->second.end()) continue;
-      for (const Tuple* b : bucket->second) {
-        ++probes;
-        if (Status st = CheckJoinExec(probes); !st.ok()) return st;
-        Tuple merged;
-        // Agreement on the shared attributes is guaranteed by the bucket,
-        // so the merge cannot fail; TryJoin stays as a cheap invariant.
-        if (TryJoin(a, *b, &merged)) rows.push_back(std::move(merged));
-      }
-    }
-  }
-  CountHashProbes(probes, build.size() * probe.size());
-  Dedup(&rows);
-  CountJoinOutput(rows.size(), final_output);
-  FlexibleRelation out = FlexibleRelation::Derived("join", DependencySet());
   for (Tuple& t : rows) out.InsertUnchecked(std::move(t));
   return out;
 }
@@ -343,12 +264,19 @@ struct CodeKeyEq {
 
 }  // namespace
 
-// Coded twin of JoinHashed: the signature-group structure (and therefore
-// which pairs ever get probed) is identical, but projections are compared
-// as flat uint32_t code rows instead of Value tuples. An ephemeral per-join
-// dictionary interns each distinct Value once per shared attribute slot —
-// after that single pass, building and probing the per-(T, K) sub-indexes
-// hashes small code spans and never touches a Value again. Nulls intern as
+// The signature-grouped hash join. Because schemes are heterogeneous, the
+// shared attributes vary per tuple *pair*; a single-key hash join would be
+// wrong. But grouping the build side by T = attrs(b) ∩ active(probe side)
+// fixes the pair-shared set per (probe tuple, group): for every b in group
+// T, shared(a, b) = attrs(a) ∩ T. One lazily built sub-index per (T, K)
+// then turns compatibility into a hash lookup whose hits are exactly the
+// cluster-compatible pairs — join_probes counts those, not all n·m pairs.
+//
+// Projections are compared as flat uint32_t code rows instead of Value
+// tuples: an ephemeral per-join dictionary interns each distinct Value once
+// per shared attribute slot — after that single pass, building and probing
+// the per-(T, K) sub-indexes hashes small code spans and never touches a
+// Value again. Nulls intern as
 // ordinary values, matching TryJoin's Value-equality semantics (natural
 // join has no Kleene rule: null meets null joins).
 Result<FlexibleRelation> Evaluator::JoinHashedCoded(
@@ -490,7 +418,7 @@ Result<FlexibleRelation> Evaluator::JoinHashedCoded(
         if (Status st = CheckJoinExec(probes); !st.ok()) return st;
         Tuple merged;
         // Bucket equality was proven on codes; TryJoin remains the cheap
-        // Value-level invariant, exactly as in JoinHashed.
+        // Value-level invariant.
         if (TryJoin(a, *b, &merged)) rows.push_back(std::move(merged));
       }
     }
@@ -503,34 +431,23 @@ Result<FlexibleRelation> Evaluator::JoinHashedCoded(
   return out;
 }
 
-// Equality/IN selection directly over a base scan: the answer is a value
-// index lookup on the scanned relation's attached cache — zero predicate
+// Equality/IN selection directly over a base scan: the answer is a code
+// column lookup on the scanned relation's attached cache — zero predicate
 // evaluations, and only the matching rows are ever read. Freshness is the
 // cache's contract either way (engine/README.md "Concurrency"): in COW
 // mode mutation hooks flushed and published before this read, which
 // resolves lock-free against the current snapshot; in locked mode this
-// IndexFor flushes any deltas buffered since the last query, so the first
-// evaluation after a burst pays the adaptive batch-apply.
+// CodeColumnFor flushes any deltas buffered since the last query, so the
+// first evaluation after a burst pays the adaptive batch-apply.
 Result<FlexibleRelation> Evaluator::SelectViaIndex(const Plan& plan,
                                                    ExplainNode* node) {
   const FlexibleRelation* src = plan.inputs()[0]->relation();
   const Expr& formula = *plan.formula();
   // Matches come back in scan order, so the output is row-for-row identical
-  // to the naive path's. The coded plane answers first when both knobs
-  // agree (EvalOptions::use_codes here, PliCacheOptions::use_codes in the
-  // cache — CodeColumnFor returns null otherwise): one dictionary probe
-  // per literal against dense code buckets, no Value hashing per lookup.
-  std::vector<Pli::RowId> matched;
-  std::shared_ptr<const CodeColumn> column;
-  if (options_.use_codes) {
-    column = src->pli_cache()->CodeColumnFor(formula.attr());
-  }
-  if (column != nullptr) {
-    matched = CodedMatches(*column, formula);
-  } else {
-    matched =
-        IndexMatches(*src->pli_cache()->IndexFor(formula.attr()), formula);
-  }
+  // to the naive path's: one dictionary probe per literal against dense
+  // code buckets, no Value hashing per lookup.
+  const std::vector<Pli::RowId> matched =
+      CodedMatches(*src->pli_cache()->CodeColumnFor(formula.attr()), formula);
   FLEXREL_TELEMETRY_COUNT("eval.index_hits", 1);
   if (node != nullptr) node->index_hit = true;
 
@@ -551,15 +468,10 @@ size_t Evaluator::DistinctOn(const FlexibleRelation& rel,
     // locked mode flushes here), and each one-call read is internally
     // coherent — it resolves against a single snapshot.
     if (attrs.size() == 1) {
-      if (options_.use_codes) {
-        std::shared_ptr<const CodeColumn> column =
-            rel.pli_cache()->CodeColumnFor(attrs.ids().front());
-        // Nonempty buckets are exactly the index's distinct values (both
-        // count the null cluster, neither counts absence), so the estimate
-        // — and thus the join order — is unchanged.
-        if (column != nullptr) return column->live_codes();
-      }
-      return rel.pli_cache()->IndexFor(attrs.ids().front())->size();
+      // Nonempty buckets are exactly the attribute's distinct values (the
+      // null bucket counts, absence does not).
+      return rel.pli_cache()->CodeColumnFor(attrs.ids().front())
+          ->live_codes();
     }
     return rel.pli_cache()->Get(attrs)->NumDistinct();
   }

@@ -14,9 +14,10 @@
 //    (tests/engine_eval_test.cc).
 //  - The *engine* path reads the partition engine (src/engine/). Equality
 //    selections over base scans resolve via the scanned relation's attached
-//    PliCache value index instead of evaluating the predicate per tuple;
+//    PliCache code column instead of evaluating the predicate per tuple;
 //    natural joins bucket the build side by shared-attribute signature and
-//    probe only cluster-compatible pairs; multiway joins order their legs by
+//    probe only cluster-compatible pairs, comparing per-join code
+//    signatures; multiway joins order their legs by
 //    PLI-derived cluster-count estimates, smallest expected intermediate
 //    first. Results — rows and propagated dependencies — are identical to
 //    the naive path; only the EvalStats work counters shrink.
@@ -34,25 +35,19 @@
 
 namespace flexrel {
 
-/// True when `formula` is a selection the value index can answer outright: a
-/// plain equality or IN over a single attribute. Everything else
+/// True when `formula` is a selection the code column can answer outright:
+/// a plain equality or IN over a single attribute. Everything else
 /// (inequalities, guards, boolean structure) needs per-tuple Kleene
 /// evaluation.
 bool IsIndexableSelect(const Expr& formula);
 
-/// Row ids (ascending) that the indexable `formula` matches in `index` —
-/// the single point implementing the Kleene null rule for index lookups
-/// (comparing a null, or against one, never yields True), shared by the
-/// engine's select path and the optimizer's cardinality estimates so the
-/// two cannot drift. Requires IsIndexableSelect(formula).
-std::vector<Pli::RowId> IndexMatches(const PliCache::ValueIndex& index,
-                                     const Expr& formula);
-
-/// Coded twin of IndexMatches: literals translate through the column's
-/// dictionary (CodeOf; null literals skipped — the same Kleene rule) and
-/// the matching code buckets merge back into scan order. Row-for-row
-/// identical to IndexMatches over the same instance — engine_dictionary_test
-/// soaks the equality. Requires IsIndexableSelect(formula).
+/// Row ids (ascending) that the indexable `formula` matches in `column`:
+/// literals translate through the column's dictionary (CodeOf) and the
+/// matching code buckets merge back into scan order. The single point
+/// implementing the Kleene null rule for index lookups (comparing a null,
+/// or against one, never yields True), shared by the engine's select path
+/// and the optimizer's cardinality estimates so the two cannot drift.
+/// Requires IsIndexableSelect(formula).
 std::vector<Pli::RowId> CodedMatches(const CodeColumn& column,
                                      const Expr& formula);
 
@@ -81,16 +76,6 @@ struct EvalOptions {
   /// would touch per-relation cache state: equality selections fall back to
   /// per-tuple evaluation and join-order estimates are computed ad hoc.
   bool use_cache = true;
-  /// Resolve cache-backed operators through the dictionary-encoded value
-  /// plane (engine/dictionary.h): equality/IN selections look literals up
-  /// as codes and merge the column's dense code->rows buckets, and hashed
-  /// joins compare per-join code signatures instead of Value projections.
-  /// Requires the relation's cache to expose code columns
-  /// (PliCacheOptions::use_codes); otherwise each operator silently falls
-  /// back to the value-keyed path. False pins the value-keyed oracle the
-  /// coded operators are cross-validated against (engine_dictionary_test,
-  /// bench_join_prune's *ValueKeyed twins).
-  bool use_codes = true;
   /// Cooperative execution control (util/exec_context.h): deadline and
   /// cancellation for the evaluation. Not owned; must outlive the call.
   /// Polled once per operator and periodically inside join probe loops;
@@ -134,7 +119,7 @@ struct ExplainNode {
   std::string op;          ///< operator label, e.g. "select[index]", "scan(R)"
   size_t actual_rows = 0;
   double elapsed_ms = 0;
-  bool index_hit = false;  ///< answered via a value-index lookup
+  bool index_hit = false;  ///< answered via a code-column lookup
   std::vector<ExplainJoinStep> join_steps;  ///< multiway joins only
   std::vector<ExplainNode> children;        ///< one per plan input, in order
 };

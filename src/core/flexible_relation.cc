@@ -124,19 +124,13 @@ void FlexibleRelation::NotifyBatch(
     has_pli_cache_.store(false, std::memory_order_release);
     return;
   }
-  if (insert_count > 0) {
-    pli_cache_->OnInsertBatch(static_cast<Pli::RowId>(first_inserted),
-                              insert_count);
+  std::vector<std::pair<Pli::RowId, Tuple>> updates;
+  updates.reserve(old_rows.size());
+  for (auto& [index, old_row] : old_rows) {
+    updates.emplace_back(static_cast<Pli::RowId>(index), std::move(old_row));
   }
-  if (!old_rows.empty()) {
-    std::vector<std::pair<Pli::RowId, Tuple>> updates;
-    updates.reserve(old_rows.size());
-    for (auto& [index, old_row] : old_rows) {
-      updates.emplace_back(static_cast<Pli::RowId>(index),
-                           std::move(old_row));
-    }
-    pli_cache_->OnUpdateBatch(std::move(updates));
-  }
+  pli_cache_->OnBatch(static_cast<Pli::RowId>(first_inserted), insert_count,
+                      std::move(updates));
 }
 
 FlexibleRelation FlexibleRelation::Base(

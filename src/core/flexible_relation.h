@@ -160,16 +160,17 @@ class FlexibleRelation {
   ///
   /// Maintenance contract: all mutation entry points (single-row and
   /// batch) keep the attached cache alive and report their deltas to it —
-  /// PliCache buffers them and the next read (Get/IndexFor/ProbeFor, i.e.
-  /// any evaluator or validator access) flushes the buffer adaptively:
-  /// small bursts patch clusters row by row, larger ones are group-applied
-  /// in one sorted splice per affected structure, and burst sizes past
-  /// max(drop_threshold, rows/2) drop everything for one lazy rebuild
-  /// (engine/pli_cache.h). Partitions live in CSR-arena cluster storage by
-  /// default (pli_cache_options().arena_storage = false pins the
-  /// vector-of-vectors reference layout), and the per-attribute probe
-  /// tables are patched in place across flushes rather than rebuilt.
-  /// Partition/index/probe pointers obtained before a mutation must be
+  /// PliCache buffers them and the next read (Get/CodeColumnFor/ProbeFor,
+  /// i.e. any evaluator or validator access) flushes the buffer
+  /// adaptively: small bursts patch clusters row by row, larger ones are
+  /// group-applied in one sorted splice per affected structure, and burst
+  /// sizes past max(drop_threshold, rows/2) drop everything for one lazy
+  /// rebuild (engine/pli_cache.h). Each batch entry point reports its whole
+  /// delta through one cache hook, so a batch flushes (and, in COW mode,
+  /// publishes) once. Partitions live in CSR-arena cluster storage, and
+  /// the per-attribute probe tables are patched in place across flushes
+  /// rather than rebuilt.
+  /// Partition/column/probe pointers obtained before a mutation must be
   /// treated as invalidated by it: until some reader flushes they observe
   /// the pre-mutation instance, a probe's labels are patched in place by
   /// that flush, and a partition the flush drops as cheaper-to-rebuild
@@ -178,8 +179,7 @@ class FlexibleRelation {
   /// pli_cache_options().incremental == false the historical behavior is
   /// restored: every mutation drops the cache wholesale and the next call
   /// rebuilds it from scratch (the oracle the incremental path is
-  /// soak-tested against — tests/engine_incremental_test.cc, which also
-  /// runs a reference-storage twin through every flush arm).
+  /// soak-tested against — tests/engine_incremental_test.cc).
   ///
   /// Concurrency (engine/README.md "Concurrency" for the full rules): in
   /// the default COW mode (pli_cache_options().cow_reads) cache reads the
@@ -223,7 +223,8 @@ class FlexibleRelation {
   void NotifyUpdate(size_t index, Tuple old_row);
   /// Batch fan-out: `insert_count` rows appended starting at
   /// `first_inserted`, plus (index, displaced old row) pairs for in-place
-  /// updates — one lock round-trip for the whole delta.
+  /// updates — one cache hook (PliCache::OnBatch), so one flush, for the
+  /// whole delta.
   void NotifyBatch(size_t first_inserted, size_t insert_count,
                    std::vector<std::pair<size_t, Tuple>> old_rows);
 

@@ -237,35 +237,22 @@ ClusterPairSampler::ClusterPairSampler(PliCache* cache,
     : cache_(cache), rows_(cache->rows()) {
   plis_.reserve(universe.size());
   distance_.assign(universe.size(), 1);
-  // Code columns for the coded pair compare — all or nothing, so a round
-  // never mixes coded and Value comparisons. CodeColumnFor is null exactly
-  // when the cache runs value-keyed (PliCacheOptions::use_codes = false).
-  // Columns are fetched BEFORE the partition warm-up below: a materialized
-  // column turns each single-attribute Get into a counting sort over its
-  // codes, so the instance is hashed once per attribute, not twice. The
-  // columns are then projected into one row-major matrix so each sampled
-  // pair reads two contiguous slices instead of one scattered cache line
-  // per attribute — the access pattern is pair-at-a-time, not columnar.
-  std::vector<std::shared_ptr<const CodeColumn>> columns;
-  columns.reserve(universe.size());
-  for (AttrId a : universe) {
-    std::shared_ptr<const CodeColumn> column = cache_->CodeColumnFor(a);
-    if (column == nullptr) {
-      columns.clear();
-      break;
-    }
-    columns.push_back(std::move(column));
-  }
-  if (!columns.empty()) {
-    const size_t width = columns.size();
-    code_attrs_.reserve(width);
-    code_matrix_.resize(rows_.size() * width);
-    for (size_t k = 0; k < width; ++k) {
-      code_attrs_.push_back(columns[k]->attr());
-      const std::vector<CodeColumn::Code>& codes = columns[k]->codes();
-      for (size_t r = 0; r < rows_.size(); ++r) {
-        code_matrix_[r * width + k] = codes[r];
-      }
+  // Code columns for the coded pair compare, fetched BEFORE the partition
+  // warm-up below: a materialized column turns each single-attribute Get
+  // into a counting sort over its codes, so the instance is hashed once per
+  // attribute, not twice. The columns are projected into one row-major
+  // matrix so each sampled pair reads two contiguous slices instead of one
+  // scattered cache line per attribute — the access pattern is
+  // pair-at-a-time, not columnar.
+  code_attrs_ = universe.ids();
+  const size_t width = code_attrs_.size();
+  code_matrix_.resize(rows_.size() * width);
+  for (size_t k = 0; k < width; ++k) {
+    std::shared_ptr<const CodeColumn> column =
+        cache_->CodeColumnFor(code_attrs_[k]);
+    const std::vector<CodeColumn::Code>& codes = column->codes();
+    for (size_t r = 0; r < rows_.size(); ++r) {
+      code_matrix_[r * width + k] = codes[r];
     }
   }
   // Single-attribute partitions are exactly what level 1 of any walk needs
@@ -313,11 +300,8 @@ ClusterPairSampler::RoundStats ClusterPairSampler::Round(EvidenceStore* store,
       Pli::ClusterView cluster = clusters[(start + c) % num_clusters];
       if (cluster.size() <= d) continue;
       for (size_t j = 0; j + d < cluster.size() && r.pairs < quota; ++j) {
-        r.evidence.push_back(
-            code_attrs_.empty()
-                ? ComparePair(rows_[cluster[j]], rows_[cluster[j + d]])
-                : ComparePairCoded(code_matrix_.data(), code_attrs_,
-                                   cluster[j], cluster[j + d]));
+        r.evidence.push_back(ComparePairCoded(
+            code_matrix_.data(), code_attrs_, cluster[j], cluster[j + d]));
         ++r.pairs;
       }
     }

@@ -68,23 +68,22 @@ struct PairEvidence {
   }
 };
 
-/// The evidence of one pair: a single merge over the two sorted field
-/// vectors, no hashing, no projection.
+/// The evidence of one pair, straight from the definition: a single merge
+/// over the two sorted field vectors. The reference the sampler's coded
+/// compare is tested against.
 PairEvidence ComparePair(const Tuple& a, const Tuple& b);
 
-/// Coded twin of ComparePair: two array loads and an integer compare per
-/// attribute instead of a sorted-field merge over Values. `matrix` is a
-/// row-major rows × attrs.size() code matrix (attrs ascending, one cell
-/// per (row, universe attribute), CodeColumn::kMissingCode for absence) —
-/// row-major so one pair compare touches two short contiguous slices
+/// What the sampler compares pairs with: two array loads and an integer
+/// compare per attribute instead of a sorted-field merge over Values.
+/// `matrix` is a row-major rows × attrs.size() code matrix (attrs
+/// ascending, one cell per (row, universe attribute),
+/// CodeColumn::kMissingCode for absence) — row-major so one pair compare
+/// touches two short contiguous slices
 /// rather than one cache line per column. The evidence is *restricted to
 /// the universe* — attributes outside it never appear in agree or
 /// presence_diff — which is exactly what CandidateFrontier consumes
 /// (bounds live inside the universe and Apply intersects the agree set
-/// with it), so frontier tightening is identical to the Value path's;
-/// only store dedup granularity and the derived efficiency stats can
-/// shift. Discovery results stay bit-identical either way
-/// (engine_dictionary_test soaks this).
+/// with it), so frontier tightening is identical to ComparePair's.
 PairEvidence ComparePairCoded(const CodeColumn::Code* matrix,
                               const std::vector<AttrId>& attrs,
                               CodeColumn::RowId a, CodeColumn::RowId b);
@@ -205,8 +204,7 @@ class ClusterPairSampler {
   const std::vector<Tuple>& rows_;
   std::vector<std::shared_ptr<const Pli>> plis_;  // one per universe attr
   // Row-major rows × universe code matrix, projected once from the cache's
-  // code columns when it runs the coded plane (PliCacheOptions::use_codes);
-  // empty otherwise, and rounds fall back to the Value-merging ComparePair.
+  // code columns.
   std::vector<CodeColumn::Code> code_matrix_;
   std::vector<AttrId> code_attrs_;  // matrix column order (ascending)
   std::vector<size_t> distance_;  // next window per attr

@@ -18,12 +18,10 @@ namespace flexrel {
 namespace discovery_internal {
 
 // Translates the discovery knobs into partition-cache options (LRU bound +
-// cluster-storage pin) for the rows-based entry points.
+// job memory budget) for the rows-based entry points.
 PliCache::Options CacheOptionsOf(const EngineDiscoveryOptions& options) {
   PliCache::Options out;
   out.max_entries = options.cache_max_entries;
-  out.arena_storage = !options.reference_storage;
-  out.use_codes = options.use_codes;
   // A job-scoped memory budget governs the cache the job owns; the
   // validator-based entry points leave their caller's cache untouched.
   if (options.exec != nullptr) {

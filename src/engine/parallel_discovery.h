@@ -33,17 +33,6 @@ struct EngineDiscoveryOptions {
   size_t num_threads = 0;
   /// LRU bound of the partition cache (multi-attribute entries).
   size_t cache_max_entries = 1024;
-  /// Pin the partition cache to the historical vector-of-vectors cluster
-  /// storage instead of the CSR arena (PliCacheOptions::arena_storage) —
-  /// the reference mode bench_discovery compares the arena against.
-  bool reference_storage = false;
-  /// Run the partition cache's dictionary-encoded value plane
-  /// (PliCacheOptions::use_codes): single-attribute partitions build by
-  /// counting sort and the hybrid sampler compares codes instead of
-  /// Values. False pins the value-keyed oracle — results are bit-identical
-  /// either way (engine_dictionary_test soaks it; bench_discovery carries
-  /// the value-keyed twin).
-  bool use_codes = true;
   /// Lattice traversal: exact level-wise validation of every candidate, or
   /// the HyFD-style sample-then-validate loop (hybrid_discovery.h). Both
   /// return bit-identical results; level-wise stays the default so it

@@ -27,9 +27,6 @@
 // insert shifts rows only within its own cluster's slot instead of
 // memmoving the whole arena suffix; a full slot grows by amortized
 // doubling, and batched splices rebuild the arena tight (compaction).
-// The historical vector-of-vectors representation is kept reachable as
-// Storage::kVectors, the reference mode the arena is benchmarked and
-// soak-tested against (PliCacheOptions::arena_storage pins a whole cache).
 
 #ifndef FLEXREL_ENGINE_PLI_H_
 #define FLEXREL_ENGINE_PLI_H_
@@ -65,25 +62,18 @@ struct PliProbe {
 /// A stripped partition: clusters of row indices, each cluster the rows
 /// agreeing on the partition's attribute set, singleton clusters removed.
 /// Canonical form — rows ascending within a cluster, clusters ordered by
-/// their first row — so equal partitions compare equal (across storage
-/// modes too).
+/// their first row — so equal partitions compare equal (whatever slack
+/// their arenas carry).
 class Pli {
  public:
   using RowId = uint32_t;
   using Cluster = std::vector<RowId>;
 
-  /// Cluster storage layout. kArena is the default everywhere; kVectors is
-  /// the pre-arena representation, kept as the cross-validated performance
-  /// and correctness reference.
-  enum class Storage : uint8_t { kArena, kVectors };
-
   /// Marker for rows outside every cluster in PliProbe::labels.
   static constexpr int32_t kNoCluster = -1;
 
   /// A borrowed, read-only span over one cluster's ascending row ids.
-  /// Valid until the owning Pli is mutated or destroyed — exactly the
-  /// lifetime of the reference the vector-of-vectors accessor used to hand
-  /// out.
+  /// Valid until the owning Pli is mutated or destroyed.
   class ClusterView {
    public:
     using value_type = RowId;
@@ -113,8 +103,8 @@ class Pli {
     size_t size_ = 0;
   };
 
-  /// Random-access range of ClusterViews in canonical order, storage
-  /// agnostic — what `for (Pli::ClusterView c : pli.clusters())` iterates.
+  /// Random-access range of ClusterViews in canonical order — what
+  /// `for (Pli::ClusterView c : pli.clusters())` iterates.
   class ClusterRange {
    public:
     class iterator {
@@ -170,14 +160,12 @@ class Pli {
   /// Partition by a single attribute: clusters rows carrying `attr` by its
   /// value. The workhorse base case — higher partitions come from
   /// Intersect.
-  static Pli Build(const std::vector<Tuple>& rows, AttrId attr,
-                   Storage storage = Storage::kArena);
+  static Pli Build(const std::vector<Tuple>& rows, AttrId attr);
 
   /// Partition by an arbitrary attribute set, built directly by hashing
   /// X-projections. Reference implementation for tests and one-off callers;
   /// the cache assembles the same partition out of single-attribute PLIs.
-  static Pli Build(const std::vector<Tuple>& rows, const AttrSet& attrs,
-                   Storage storage = Storage::kArena);
+  static Pli Build(const std::vector<Tuple>& rows, const AttrSet& attrs);
 
   /// Single-attribute partition from a dictionary code column
   /// (engine/dictionary.h) via counting sort — no Value hashing at all.
@@ -186,21 +174,18 @@ class Pli {
   /// identical to Build(rows, attr) over the decoded values: canonical
   /// cluster order, singletons stripped, defined_rows exact.
   static Pli BuildFromCodes(const std::vector<uint32_t>& codes,
-                            uint32_t code_bound,
-                            Storage storage = Storage::kArena);
+                            uint32_t code_bound);
 
   /// The product partition: clusters of `this` refined by the clusters of
   /// `other`. Equals Build(rows, X ∪ Y) when the operands are the
-  /// partitions by X and Y over the same instance. The product inherits
-  /// this operand's storage mode.
+  /// partitions by X and Y over the same instance.
   Pli Intersect(const Pli& other) const;
 
   /// Intersect against a precomputed probe (other.BuildProbe(), or the
   /// cache's incrementally maintained one) — lets a caller that intersects
   /// many partitions against the same operand skip the O(num_rows) rebuild
-  /// per call. Arena mode refines through `scratch` (thread-local default)
-  /// and allocates only the exact-size output; kVectors keeps the historic
-  /// per-call behavior as the benchmark reference.
+  /// per call. Refines through `scratch` (thread-local default) and
+  /// allocates only the exact-size output.
   Pli IntersectWithProbe(const PliProbe& probe,
                          IntersectScratch* scratch = nullptr) const;
 
@@ -249,9 +234,9 @@ class Pli {
   /// Zero-copy variant: the replacement rows are borrowed (a span into the
   /// already-spliced value-index cluster) instead of copied. The pointed-to
   /// rows must stay valid until ApplyBatch returns — the cache consumes a
-  /// splice's views before the next splice can touch them. This is the
-  /// arena fast path: one copy straight from the index into the arena,
-  /// instead of index -> patch -> arena.
+  /// splice's views before the next splice can touch them: one copy
+  /// straight from the index into the arena, instead of index -> patch ->
+  /// arena.
   struct ClusterPatchView {
     RowId old_front = 0;
     size_t old_size = 0;
@@ -294,23 +279,16 @@ class Pli {
   /// preserve the mode.
   bool exact_defined() const { return exact_defined_; }
 
-  Storage storage() const { return storage_; }
-
   /// The i-th cluster in canonical order, as a borrowed span. Live rows
   /// sit at the front of the cluster's arena slot; trailing slack (if any)
   /// is never exposed.
   ClusterView cluster(size_t i) const {
-    if (storage_ == Storage::kArena) {
-      return ClusterView(arena_.data() + offsets_[i], sizes_[i]);
-    }
-    return ClusterView(vclusters_[i].data(), vclusters_[i].size());
+    return ClusterView(arena_.data() + offsets_[i], sizes_[i]);
   }
 
   ClusterRange clusters() const { return ClusterRange(this); }
   size_t num_clusters() const {
-    return storage_ == Storage::kArena
-               ? (offsets_.empty() ? 0 : offsets_.size() - 1)
-               : vclusters_.size();
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
   }
 
   /// Number of rows of the underlying instance (cluster ids index into it).
@@ -339,11 +317,9 @@ class Pli {
   /// Arena slots not currently holding a live row (dead headroom from
   /// per-cluster slack growth and dissolved clusters). Always 0 right
   /// after a build or a batched splice — ApplyBatch rebuilds tight — and
-  /// bounded between them by the amortized-doubling growth policy. 0 in
-  /// kVectors mode. Exposed for tests and the memory accounting bench.
-  size_t ArenaSlackRows() const {
-    return storage_ == Storage::kArena ? arena_.size() - grouped_rows_ : 0;
-  }
+  /// bounded between them by the amortized-doubling growth policy.
+  /// Exposed for tests and the memory accounting bench.
+  size_t ArenaSlackRows() const { return arena_.size() - grouped_rows_; }
 
   /// Inverse mapping with canonical labels (label == cluster index,
   /// label_bound == num_clusters). O(num_rows).
@@ -358,7 +334,7 @@ class Pli {
   /// boundaries with every slot's live size in [2, capacity], arena size
   /// == last boundary, rows strictly ascending within clusters and
   /// < num_rows, canonical cluster order, and defined_rows consistent with
-  /// grouped_rows for the storage's defined mode. On failure fills `error`
+  /// grouped_rows for the partition's defined mode. On failure fills `error`
   /// (when non-null) and returns false.
   bool CheckInvariants(std::string* error = nullptr) const;
 
@@ -367,30 +343,27 @@ class Pli {
 
  private:
   /// Takes ownership of freshly built clusters (any order, each >= 2 rows,
-  /// rows ascending), canonicalizes, and stores them in `storage_` layout.
+  /// rows ascending), canonicalizes, and lays them out in the arena.
   void AdoptClusters(std::vector<Cluster> clusters);
 
   /// Shared patch body: `others` partners, their cluster fronted by
   /// `partner_front` (ignored when others == 0).
   bool ApplyInsertCore(RowId row, size_t others, RowId partner_front);
 
-  /// The two storage-specific refinement bodies behind IntersectWithProbe.
+  /// The refinement body behind IntersectWithProbe.
   Pli IntersectArena(const PliProbe& probe, IntersectScratch* scratch) const;
-  Pli IntersectVectors(const PliProbe& probe) const;
 
-  // Arena primitives (storage_ == kArena; see pli.cc).
+  // Arena primitives (see pli.cc).
   size_t ArenaLowerBoundByFront(RowId front) const;
   size_t ArenaFindClusterByFront(RowId front) const;
   void ArenaRepositionCluster(size_t index, size_t target);
   void ArenaMaybeReposition(size_t index);
 
-  Storage storage_ = Storage::kArena;
-  std::vector<RowId> arena_;       // kArena: cluster slots (rows + slack)
-  std::vector<uint32_t> offsets_;  // kArena: num_clusters + 1 monotone slot
+  std::vector<RowId> arena_;       // cluster slots (rows + slack)
+  std::vector<uint32_t> offsets_;  // num_clusters + 1 monotone slot
                                    // boundaries; slot i capacity is
                                    // offsets_[i+1] - offsets_[i]
-  std::vector<uint32_t> sizes_;    // kArena: live rows in slot i (<= cap)
-  std::vector<Cluster> vclusters_;  // kVectors: the historical layout
+  std::vector<uint32_t> sizes_;    // live rows in slot i (<= cap)
   size_t num_rows_ = 0;
   size_t grouped_rows_ = 0;
   size_t defined_rows_ = 0;

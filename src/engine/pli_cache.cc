@@ -22,17 +22,16 @@ const Pli::Cluster& ClusterOf(const PliCache::ValueIndex& index,
   return it == index.end() ? kEmptyCluster : it->second;
 }
 
-// One scan of the instance into a fresh value index — the single builder
-// behind both the read path (IndexFor) and the flush paths
-// (EnsureIndexLocked). No reserve: the map holds one entry per *distinct*
-// value, and typical indexed attributes (the bench's jobtype shape) have
-// few of those.
-std::shared_ptr<PliCache::ValueIndex> BuildValueIndex(
-    const std::vector<Tuple>& rows, AttrId attr) {
-  auto index = std::make_shared<PliCache::ValueIndex>();
+// One scan of the instance into a fresh value index, for the flush paths
+// (EnsureFlushIndexesLocked). No reserve: the map holds one entry per
+// *distinct* value, and typical indexed attributes (the bench's jobtype
+// shape) have few of those.
+PliCache::ValueIndex BuildValueIndex(const std::vector<Tuple>& rows,
+                                     AttrId attr) {
+  PliCache::ValueIndex index;
   for (size_t i = 0; i < rows.size(); ++i) {
     if (const Value* v = rows[i].Get(attr)) {
-      (*index)[*v].push_back(static_cast<Pli::RowId>(i));
+      index[*v].push_back(static_cast<Pli::RowId>(i));
     }
   }
   return index;
@@ -313,27 +312,25 @@ PliCache::PliPtr PliCache::BuildFor(const AttrSet& attrs) {
   // failure) unwinds through Get's un-poisoning catch, so the next request
   // rebuilds instead of inheriting a stale error.
   FLEXREL_FAULT_INJECT("pli_cache.build");
-  if (attrs.size() == 1 && options_.use_codes) {
+  if (attrs.size() == 1) {
     // Counting sort over the attribute's dictionary code column when one
     // exists: the column hashes each value exactly once across its
     // lifetime (built on the first CodeColumnFor, then patched in lockstep
     // with the partitions), so partition (re)builds skip the per-row Value
     // hashing entirely. Probe-only on purpose — materializing a column
     // just to build one partition would cost more than the hash build it
-    // replaces (the per-code buckets are the price), so a cold cache stays
-    // at hash-build parity with the value-keyed oracle.
+    // replaces (the per-code buckets are the price), so a cold cache pays
+    // a plain hash build.
     std::shared_ptr<const CodeColumn> column =
         ExistingCodeColumn(attrs.ids().front());
     if (column != nullptr) {
-      return std::make_shared<Pli>(Pli::BuildFromCodes(
-          column->codes(), column->code_bound(), PartitionStorage()));
+      return std::make_shared<Pli>(
+          Pli::BuildFromCodes(column->codes(), column->code_bound()));
     }
   }
   if (attrs.size() <= 1) {
-    Pli built =
-        attrs.empty()
-            ? Pli::Build(*rows_, attrs, PartitionStorage())
-            : Pli::Build(*rows_, attrs.ids().front(), PartitionStorage());
+    Pli built = attrs.empty() ? Pli::Build(*rows_, attrs)
+                              : Pli::Build(*rows_, attrs.ids().front());
     return std::make_shared<Pli>(std::move(built));
   }
   // X = prefix ∪ {last}: intersect the cached prefix partition (the more
@@ -487,38 +484,7 @@ void PliCache::ProbePatchBatchLocked(
   ++probe_patches_;
 }
 
-std::shared_ptr<const PliCache::ValueIndex> PliCache::IndexFor(AttrId attr) {
-  if (options_.cow_reads) {
-    std::shared_ptr<const ValueIndex> hit = WithSnapshot(
-        [&](const Snapshot* snap) -> std::shared_ptr<const ValueIndex> {
-          if (snap == nullptr) return nullptr;
-          auto it = snap->indexes.find(attr);
-          return it == snap->indexes.end() ? nullptr : it->second;
-        });
-    if (hit != nullptr) return hit;
-  } else {
-    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.reader_lock_waits", 1);
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    FlushPendingLocked();
-    auto it = value_indexes_.find(attr);
-    if (it != value_indexes_.end()) return it->second;
-  }
-  // Build outside the lock — an O(rows) scan must not stall concurrent
-  // Get()s. Only the flush paths (which already hold mu_ and need the
-  // fresh-build signal) go through EnsureIndexLocked.
-  std::shared_ptr<ValueIndex> index = BuildValueIndex(*rows_, attr);
-  std::lock_guard<std::mutex> lock(mu_);
-  // Racing builders compute identical indexes; first insert wins.
-  std::shared_ptr<const ValueIndex> memo =
-      value_indexes_.emplace(attr, std::move(index)).first->second;
-  if (options_.cow_reads) PublishLocked(/*flush_publish=*/false);
-  return memo;
-}
-
 std::shared_ptr<const CodeColumn> PliCache::ExistingCodeColumn(AttrId attr) {
-  if (!options_.use_codes) return nullptr;
   if (options_.cow_reads) {
     return WithSnapshot(
         [&](const Snapshot* snap) -> std::shared_ptr<const CodeColumn> {
@@ -533,7 +499,6 @@ std::shared_ptr<const CodeColumn> PliCache::ExistingCodeColumn(AttrId attr) {
 }
 
 std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
-  if (!options_.use_codes) return nullptr;  // Value-keyed oracle mode
   if (options_.cow_reads) {
     std::shared_ptr<const CodeColumn> hit = WithSnapshot(
         [&](const Snapshot* snap) -> std::shared_ptr<const CodeColumn> {
@@ -551,8 +516,9 @@ std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
     auto it = code_columns_.find(attr);
     if (it != code_columns_.end()) return it->second;
   }
-  // Build outside the lock, like the value indexes: one O(rows) intern
-  // pass — the only time this attribute's values are ever hashed.
+  // Build outside the lock — an O(rows) intern pass must not stall
+  // concurrent Get()s; it is the only time this attribute's values are
+  // ever hashed.
   auto column = std::make_shared<CodeColumn>(CodeColumn::Build(*rows_, attr));
   std::lock_guard<std::mutex> lock(mu_);
   // Racing builders compute identical columns; first insert wins.
@@ -577,8 +543,8 @@ PliCache::PartnerScan PliCache::AgreeingRowsLocked(const AttrSet& attrs,
   for (AttrId a : attrs) {
     auto idx_it = value_indexes_.find(a);
     if (idx_it == value_indexes_.end()) return PartnerScan::kNoIndex;
-    auto it = idx_it->second->find(*proj.Get(a));
-    if (it == idx_it->second->end()) {
+    auto it = idx_it->second.find(*proj.Get(a));
+    if (it == idx_it->second.end()) {
       return PartnerScan::kOk;  // value unseen -> no partners
     }
     lists.push_back(&it->second);
@@ -678,16 +644,6 @@ void PliCache::OnInsert(Pli::RowId row) {
   if (options_.cow_reads) FlushPendingLocked();
 }
 
-void PliCache::OnInsertBatch(Pli::RowId first_row, size_t count) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.reserve(pending_.size() + count);
-  for (size_t i = 0; i < count; ++i) {
-    pending_.push_back(
-        {static_cast<Pli::RowId>(first_row + i), /*is_insert=*/true, Tuple()});
-  }
-  if (options_.cow_reads) FlushPendingLocked();
-}
-
 void PliCache::OnUpdate(Pli::RowId row, Tuple old_row) {
   std::lock_guard<std::mutex> lock(mu_);
   pending_.push_back({row, /*is_insert=*/false, std::move(old_row)});
@@ -698,10 +654,14 @@ void PliCache::OnUpdate(Pli::RowId row, Tuple old_row) {
   }
 }
 
-void PliCache::OnUpdateBatch(
-    std::vector<std::pair<Pli::RowId, Tuple>> old_rows) {
+void PliCache::OnBatch(Pli::RowId first_inserted, size_t insert_count,
+                       std::vector<std::pair<Pli::RowId, Tuple>> old_rows) {
   std::lock_guard<std::mutex> lock(mu_);
-  pending_.reserve(pending_.size() + old_rows.size());
+  pending_.reserve(pending_.size() + insert_count + old_rows.size());
+  for (size_t i = 0; i < insert_count; ++i) {
+    pending_.push_back({static_cast<Pli::RowId>(first_inserted + i),
+                        /*is_insert=*/true, Tuple()});
+  }
   for (auto& [row, old_row] : old_rows) {
     pending_.push_back({row, /*is_insert=*/false, std::move(old_row)});
   }
@@ -796,6 +756,15 @@ void PliCache::FlushPendingLocked() {
   // The span detail carries the net burst size and the estimate the arm
   // decision compared it against.
   const size_t b = net.size();
+  // Flush-driven publication, timed as its own phase: the swap plus the
+  // release of the superseded table, which is where the clones of earlier
+  // epochs are freed.
+  auto publish = [&] {
+    if (!options_.cow_reads) return;
+    FLEXREL_TELEMETRY_LATENCY(publish_timer,
+                              "engine.pli_cache.flush.publish_ns");
+    PublishLocked(/*flush_publish=*/true);
+  };
   ++flushes_;
   FLEXREL_TELEMETRY_COUNT("engine.pli_cache.flushes", 1);
   FLEXREL_TELEMETRY_HIST("engine.pli_cache.flush.burst", b);
@@ -812,7 +781,7 @@ void PliCache::FlushPendingLocked() {
     if (options_.memory_budget_bytes != 0) AccountMemoryLocked();
     // Dropping mutates no structure, so nothing needs cloning — but the
     // published table must stop resolving the dropped keys.
-    if (options_.cow_reads) PublishLocked(/*flush_publish=*/true);
+    publish();
     return;
   }
   // Failure atomicity: everything from the clone to the last patch arm
@@ -830,7 +799,11 @@ void PliCache::FlushPendingLocked() {
     // same-content successor first, so the live epoch's structures stay
     // frozen for their readers and the swap at the end is the only point
     // new state becomes visible.
-    if (options_.cow_reads) CloneForCowLocked(changed, insert_count > 0);
+    if (options_.cow_reads) {
+      FLEXREL_TELEMETRY_LATENCY(clone_timer, "engine.pli_cache.flush.clone_ns");
+      CloneForCowLocked(changed, insert_count > 0);
+    }
+    FLEXREL_TELEMETRY_LATENCY(patch_timer, "engine.pli_cache.flush.patch_ns");
     // Probe memos are patched in place by both flush arms below (in
     // lockstep with the cluster patches, via the ProbePatch*Locked
     // helpers); inserts only need the label arrays grown — new rows start
@@ -883,7 +856,7 @@ void PliCache::FlushPendingLocked() {
     pending_.clear();
     pending_compact_at_ = kPendingCompactThreshold;
     if (options_.memory_budget_bytes != 0) AccountMemoryLocked();
-    if (options_.cow_reads) PublishLocked(/*flush_publish=*/true);
+    publish();
     // Swallowed: the flush recovered to a consistent (empty) cache, and
     // the mutation itself already succeeded against the row vector.
     return;
@@ -894,7 +867,7 @@ void PliCache::FlushPendingLocked() {
     AccountMemoryLocked();
     EvictLocked();  // the flush may have grown structures past the budget
   }
-  if (options_.cow_reads) PublishLocked(/*flush_publish=*/true);
+  publish();
 }
 
 void PliCache::CloneForCowLocked(const AttrSet& changed, bool has_inserts) {
@@ -910,10 +883,6 @@ void PliCache::CloneForCowLocked(const AttrSet& changed, bool has_inserts) {
   for (auto& [attr, probe] : probes_) {
     if (!has_inserts && !changed.Contains(attr)) continue;
     probe = std::make_shared<PliProbe>(*probe);
-  }
-  for (auto& [attr, index] : value_indexes_) {
-    if (!changed.Contains(attr)) continue;
-    index = std::make_shared<ValueIndex>(*index);
   }
   for (auto& [attr, column] : code_columns_) {
     // Inserts grow every column's code vector, not just changed attrs.
@@ -933,10 +902,6 @@ void PliCache::PublishLocked(bool flush_publish) {
   }
   snap->probes.reserve(probes_.size());
   for (const auto& [attr, probe] : probes_) snap->probes.emplace(attr, probe);
-  snap->indexes.reserve(value_indexes_.size());
-  for (const auto& [attr, index] : value_indexes_) {
-    snap->indexes.emplace(attr, index);
-  }
   snap->columns.reserve(code_columns_.size());
   for (const auto& [attr, column] : code_columns_) {
     snap->columns.emplace(attr, column);
@@ -971,8 +936,8 @@ void PliCache::EnsureFlushIndexesLocked(const std::vector<NetDelta>& net,
     for (AttrId a : attrs) {
       if (value_indexes_.count(a) > 0) continue;  // dedups repeat visits too
       ValueIndex* index =
-          value_indexes_.emplace(a, BuildValueIndex(*rows_, a))
-              .first->second.get();
+          &value_indexes_.emplace(a, BuildValueIndex(*rows_, a))
+               .first->second;
       // The fresh index reflects the final rows; rewind the buffered burst
       // — the deltas reversed, final state -> first recorded old state,
       // inserts removed entirely — so it describes the instance the cached
@@ -1043,7 +1008,7 @@ void PliCache::ReplayInsertLocked(Pli::RowId row) {
           if (it == value_indexes_.end()) return PatchResult::kRebuild;
           // The index still describes the pre-insert instance (it is
           // patched only further down), so the cluster is pure partners.
-          const Pli::Cluster& partners = ClusterOf(*it->second, *t.Get(a));
+          const Pli::Cluster& partners = ClusterOf(it->second, *t.Get(a));
           ok = pli->ApplyInsert(row, partners, /*includes_row=*/false);
           if (ok) {
             ProbePatchInsertLocked(a, row, partners);
@@ -1066,7 +1031,7 @@ void PliCache::ReplayInsertLocked(Pli::RowId row) {
   // must describe the pre-insert instance while partitions are patched.
   for (auto& [attr, index] : value_indexes_) {
     if (const Value* v = t.Get(attr)) {
-      ValueIndexApplyInsert(index.get(), row, v);
+      ValueIndexApplyInsert(&index, row, v);
       ++patches_;
     }
   }
@@ -1085,7 +1050,7 @@ void PliCache::ReplayUpdateLocked(Pli::RowId row, const Tuple& old_row,
   for (AttrId a : changed) {
     auto it = value_indexes_.find(a);
     if (it == value_indexes_.end()) continue;
-    ValueIndexApplyUpdate(it->second.get(), row, old_row.Get(a), nullptr);
+    ValueIndexApplyUpdate(&it->second, row, old_row.Get(a), nullptr);
   }
   PatchEntriesLocked(
       [&](const AttrSet& attrs, Pli* pli) -> PatchResult {
@@ -1097,16 +1062,16 @@ void PliCache::ReplayUpdateLocked(Pli::RowId row, const Tuple& old_row,
           AttrId a = attrs.ids().front();
           auto it = value_indexes_.find(a);
           if (it == value_indexes_.end()) return PatchResult::kRebuild;
-          ValueIndex* index = it->second.get();
+          const ValueIndex& index = it->second;
           if (const Value* old_v = old_row.Get(a)) {
             // The index already excludes `row` from the old cluster here.
-            const Pli::Cluster& partners = ClusterOf(*index, *old_v);
+            const Pli::Cluster& partners = ClusterOf(index, *old_v);
             ok = pli->ApplyErase(row, partners, /*includes_row=*/false);
             if (ok) ProbePatchEraseLocked(a, row, partners);
           }
           if (ok) {
             if (const Value* new_v = new_row.Get(a)) {
-              const Pli::Cluster& partners = ClusterOf(*index, *new_v);
+              const Pli::Cluster& partners = ClusterOf(index, *new_v);
               ok = pli->ApplyInsert(row, partners, /*includes_row=*/false);
               if (ok) ProbePatchInsertLocked(a, row, partners);
             }
@@ -1137,7 +1102,7 @@ void PliCache::ReplayUpdateLocked(Pli::RowId row, const Tuple& old_row,
     auto it = value_indexes_.find(a);
     if (it == value_indexes_.end()) continue;
     if (const Value* new_v = new_row.Get(a)) {
-      ValueIndexApplyInsert(it->second.get(), row, new_v);
+      ValueIndexApplyInsert(&it->second, row, new_v);
       ++patches_;
     }
   }
@@ -1154,8 +1119,8 @@ size_t PliCache::EstimateMultiPatchScanLocked(
     for (AttrId a : attrs) {
       auto idx_it = value_indexes_.find(a);
       if (idx_it == value_indexes_.end()) return 0;
-      auto it = idx_it->second->find(*proj.Get(a));
-      if (it == idx_it->second->end()) return 0;  // unseen -> empty scan
+      auto it = idx_it->second.find(*proj.Get(a));
+      if (it == idx_it->second.end()) return 0;  // unseen -> empty scan
       seed = std::min(seed, it->second.size());
     }
     return seed;
@@ -1333,18 +1298,14 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
   // Splice the value indexes — every affected cluster rebuilt in one
   // sorted merge — capturing the per-value replacements only for the
   // attributes whose cached single-attribute partition will group-apply
-  // them (an index pinned solely for selections pays no capture at all).
-  // Arena-backed partitions take the zero-copy route: the splice hands out
-  // borrowed views into the spliced clusters and ApplyBatch copies each
-  // replacement straight into the arena. The vector-of-vectors reference
-  // keeps the historical owning-patch path. Either way the captured
-  // replacements drive the probe's label patch — one pass over exactly the
-  // rows the splice moved.
+  // them (an index consulted only by multi-attribute partner scans pays
+  // no capture at all). The splice hands out borrowed views into the
+  // spliced clusters and ApplyBatch copies each replacement straight into
+  // the arena; the same views drive the probe's label patch — one pass
+  // over exactly the rows the splice moved.
   std::unordered_set<AttrId> single_attrs;
   single_attrs.reserve(single.size());
   for (const Work& w : single) single_attrs.insert(w.attrs.ids().front());
-  const bool arena = options_.arena_storage;
-  std::unordered_map<AttrId, std::vector<Pli::ClusterPatch>> cluster_patches;
   std::unordered_map<AttrId, std::vector<Pli::ClusterPatchView>>
       cluster_patch_views;
   std::unordered_map<AttrId, ptrdiff_t> defined_deltas;
@@ -1352,25 +1313,15 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
     auto it = value_indexes_.find(attr);
     if (it == value_indexes_.end()) continue;  // nothing cached consults it
     if (single_attrs.count(attr) == 0) {
-      ValueIndexApplyUpdateBatch(it->second.get(), deltas,
-                                 /*capture=*/false);
+      ValueIndexApplyUpdateBatch(&it->second, deltas, /*capture=*/false);
       ++batch_applies_;
       continue;
     }
-    if (arena) {
-      std::vector<Pli::ClusterPatchView> views =
-          ValueIndexApplyUpdateBatchViews(it->second.get(), deltas);
-      ++batch_applies_;
-      ProbePatchBatchLocked(attr, deltas, views);
-      cluster_patch_views[attr] = std::move(views);
-    } else {
-      std::vector<Pli::ClusterPatch> patches =
-          ValueIndexApplyUpdateBatch(it->second.get(), deltas,
-                                     /*capture=*/true);
-      ++batch_applies_;
-      ProbePatchBatchLocked(attr, deltas, Pli::MakePatchViews(patches));
-      cluster_patches[attr] = std::move(patches);
-    }
+    std::vector<Pli::ClusterPatchView> views =
+        ValueIndexApplyUpdateBatchViews(&it->second, deltas);
+    ++batch_applies_;
+    ProbePatchBatchLocked(attr, deltas, views);
+    cluster_patch_views[attr] = std::move(views);
     ptrdiff_t dd = 0;
     for (const ValueIndexDelta& d : deltas) {
       dd += (d.new_value != nullptr ? 1 : 0) -
@@ -1380,16 +1331,10 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
   }
   for (Work& w : single) {
     AttrId a = w.attrs.ids().front();
-    bool applied = false;
-    if (arena) {
-      auto cp = cluster_patch_views.find(a);
-      applied = cp != cluster_patch_views.end() &&
-                w.pli->ApplyBatch(std::move(cp->second), defined_deltas[a]);
-    } else {
-      auto cp = cluster_patches.find(a);
-      applied = cp != cluster_patches.end() &&
-                w.pli->ApplyBatch(std::move(cp->second), defined_deltas[a]);
-    }
+    auto cp = cluster_patch_views.find(a);
+    const bool applied =
+        cp != cluster_patch_views.end() &&
+        w.pli->ApplyBatch(std::move(cp->second), defined_deltas[a]);
     if (!applied) {
       failed.push_back(w.attrs);
     } else {
@@ -1502,7 +1447,7 @@ void PliCache::AccountMemoryLocked() {
   for (const auto& [attr, index] : value_indexes_) {
     (void)attr;
     indexes += kPerEntryOverhead;
-    for (const auto& [value, rows] : *index) {
+    for (const auto& [value, rows] : index) {
       (void)value;
       indexes += sizeof(Value) + kPerValueEstimate +
                  rows.capacity() * sizeof(Pli::RowId);

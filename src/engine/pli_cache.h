@@ -11,10 +11,10 @@
 //
 // Mutations: the cache is no longer bound to an immutable instance. When
 // the underlying row vector changes, the owner reports the change through
-// OnInsert/OnUpdate (or their batch forms), which *buffer* the delta; the
-// next read (Get/IndexFor — that includes every evaluator and validator
-// access) flushes the pending buffer with a three-way policy decided by
-// the net burst size b (PliCacheOptions::{batch_threshold,
+// OnInsert/OnUpdate (or the batch hook OnBatch), which *buffer* the delta;
+// the next read (Get/CodeColumnFor — that includes every evaluator and
+// validator access) flushes the pending buffer with a three-way policy
+// decided by the net burst size b (PliCacheOptions::{batch_threshold,
 // drop_threshold}):
 //
 //   - b < batch_threshold: per-row patching, the PR 3 path — only the
@@ -37,12 +37,17 @@
 // state), so a row updated 64 times between queries flushes as one move.
 // The unstripped value indexes are the base of the scheme: they know which
 // lone row to un-strip when a value gains its second carrier, which the
-// stripped partitions alone cannot. Probe tables (row -> cluster label,
-// ProbeFor) used to be memo-dropped by any flush touching their attribute
-// and rebuilt O(rows); they are now first-class incrementally maintained
-// structures, label arrays patched in O(delta) alongside the cluster
-// patches on both flush arms, so multi-attribute lazy re-intersections
-// stop paying a probe rebuild per flush. A multi-attribute entry whose per-row
+// stripped partitions alone cannot. They are *flush-private*: built lazily
+// by the first flush whose cached partitions consult them, patched only
+// under mu_, never published to readers and so never cloned. Readers see
+// one value plane — the dictionary code columns (CodeColumnFor), which
+// answer every value -> rows lookup (selections, row estimates, distinct
+// counts). Probe tables (row -> cluster label, ProbeFor) used to be
+// memo-dropped by any flush touching their attribute and rebuilt O(rows);
+// they are now first-class incrementally maintained structures, label
+// arrays patched in O(delta) alongside the cluster patches on both flush
+// arms, so multi-attribute lazy re-intersections stop paying a probe
+// rebuild per flush. A multi-attribute entry whose per-row
 // patch (seed-cluster scan + verification) would cost more than
 // re-intersecting its patched sub-partitions is dropped instead and
 // rebuilt lazily on the next Get. PliCacheOptions::incremental = false
@@ -51,10 +56,10 @@
 // batch_threshold = SIZE_MAX pins the per-row path, the reference the
 // batched one is benchmarked and soak-tested against.
 //
-// Concurrency: Get/IndexFor/ProbeFor are safe to call from many worker
+// Concurrency: Get/CodeColumnFor/ProbeFor are safe to call from many worker
 // threads. In the default copy-on-write mode (PliCacheOptions::cow_reads)
 // reads are *lock-free under write traffic*: an immutable Snapshot table
-// (partitions + probes + value indexes, shared_ptr'd) is published with
+// (partitions + probes + code columns, shared_ptr'd) is published with
 // one atomic swap per flush, readers resolve cached structures with a
 // single acquire-load and never touch mu_, and a flush patches successor
 // copies off to the side before swapping — the structures a reader holds
@@ -98,8 +103,7 @@ struct ValueIndexDelta;
 
 /// Thread-safe partition cache over one instance. The referenced rows must
 /// outlive the cache; every mutation of the rows must be reported through
-/// OnInsert/OnUpdate (or the batch hooks, or the cache discarded) before
-/// the next read.
+/// OnInsert/OnUpdate/OnBatch (or the cache discarded) before the next read.
 class PliCache {
  public:
   using Options = PliCacheOptions;
@@ -129,33 +133,28 @@ class PliCache {
   /// not hold it across mutations.
   std::shared_ptr<const PliProbe> ProbeFor(AttrId attr);
 
-  /// The *unstripped* value-keyed view of the single-attribute partition of
-  /// `attr`: value -> ascending row ids carrying exactly that value. Rows
-  /// lacking the attribute appear nowhere; rows with an explicit Value::Null
-  /// cluster under the Null key. Unlike the stripped partitions, singleton
-  /// clusters are kept — a lone row cannot influence a dependency but very
-  /// much belongs to an equality selection's answer. Built once per
-  /// attribute, pinned, and patched across mutations. Flushes pending
-  /// deltas first. Never returns null; safe to call from many threads.
+  /// The *unstripped* value-keyed view of a single-attribute partition:
+  /// value -> ascending row ids carrying exactly that value (rows lacking
+  /// the attribute appear nowhere, explicit nulls cluster under the Null
+  /// key, singletons are kept). The flush's private partner-scan and splice
+  /// structure — no accessor hands one out; readers use CodeColumnFor.
   using ValueIndex =
       std::unordered_map<Value, std::vector<Pli::RowId>, ValueHash>;
-  std::shared_ptr<const ValueIndex> IndexFor(AttrId attr);
 
   /// The dictionary code column of `attr` (engine/dictionary.h): values
   /// interned into dense uint32_t codes, held columnar, with per-code row
-  /// buckets — the base of the coded partition builds, selections, and
-  /// hybrid sampling. Built once per attribute, pinned, and patched by the
-  /// same flush that patches the partitions, so a fetched column is always
-  /// exactly as fresh as a Get() from the same quiescent point. Returns
-  /// null iff Options::use_codes is false (the Value-keyed oracle mode);
-  /// callers fall back to the value-hashed paths then. Flushes pending
-  /// deltas first; safe from many threads; same holding contract as Get
+  /// buckets — the reader-facing value plane behind partition builds,
+  /// selections, row estimates, and hybrid sampling. Built once per
+  /// attribute, pinned, and patched by the same flush that patches the
+  /// partitions, so a fetched column is always exactly as fresh as a Get()
+  /// from the same quiescent point. Flushes pending deltas first; never
+  /// returns null; safe from many threads; same holding contract as Get
   /// results (in COW mode a held column is frozen at its epoch, in locked
   /// mode do not hold it across mutations).
   std::shared_ptr<const CodeColumn> CodeColumnFor(AttrId attr);
 
   /// Probe-only twin of CodeColumnFor: the column when it already exists,
-  /// null otherwise (or when Options::use_codes is off) — never builds.
+  /// null otherwise — never builds.
   /// The single-attribute partition path goes through this so a cold cache
   /// pays a plain hash build instead of materializing a column it was
   /// never asked for; CodeColumnFor (evaluator selections, the hybrid
@@ -168,17 +167,14 @@ class PliCache {
   // mutating its row vector. The hooks only append to the pending-delta
   // buffer (O(1) per row — inserts record nothing but the row id, updates
   // take ownership of the displaced old tuple); all patching is deferred
-  // to the next read. Structures handed out by earlier Get/IndexFor calls
-  // are shared — a holder may observe the pre-flush instance until some
-  // reader flushes, which is exactly the documented contract: do not hold
-  // partition pointers across mutations; re-Get after mutating.
+  // to the next read. Structures handed out by earlier Get/CodeColumnFor
+  // calls are shared — a holder may observe the pre-flush instance until
+  // some reader flushes, which is exactly the documented contract: do not
+  // hold partition pointers across mutations; re-Get after mutating.
   // ------------------------------------------------------------------
 
   /// The row at index `row` == rows().size() - 1 was just appended.
   void OnInsert(Pli::RowId row);
-
-  /// Rows first_row .. first_row + count - 1 were just appended.
-  void OnInsertBatch(Pli::RowId first_row, size_t count);
 
   /// The row at index `row` changed from `old_row` to its current state in
   /// rows(). Attribute additions and removals are handled, so footnote-3
@@ -186,9 +182,15 @@ class PliCache {
   /// attributes) arrive as one multi-attribute delta.
   void OnUpdate(Pli::RowId row, Tuple old_row);
 
-  /// Batch form of OnUpdate: every (row, pre-mutation state) of one
-  /// already-applied transactional batch, buffered under a single lock.
-  void OnUpdateBatch(std::vector<std::pair<Pli::RowId, Tuple>> old_rows);
+  /// One already-applied transactional batch, buffered under a single lock
+  /// and flushed (in COW mode: published) once: rows first_inserted ..
+  /// first_inserted + insert_count - 1 were appended, and every (row,
+  /// pre-mutation state) in `old_rows` was updated in place. One hook per
+  /// batch, so the flush sees the whole net delta — split insert and
+  /// update flushes would diff the inserts against rows the updates had
+  /// already moved.
+  void OnBatch(Pli::RowId first_inserted, size_t insert_count,
+               std::vector<std::pair<Pli::RowId, Tuple>> old_rows);
 
   const std::vector<Tuple>& rows() const { return *rows_; }
   const Options& options() const { return options_; }
@@ -229,8 +231,9 @@ class PliCache {
     /// build refreshes alike). 0 while nothing was ever published.
     uint64_t epoch = 0;
     /// Estimated byte footprints per structure kind, refreshed by the
-    /// accounting sweep. All 0 while memory_budget_bytes == 0 (governance
-    /// off — nothing is ever accounted).
+    /// accounting sweep (bytes_indexes: the flush-private value indexes).
+    /// All 0 while memory_budget_bytes == 0 (governance off — nothing is
+    /// ever accounted).
     size_t bytes_plis = 0;
     size_t bytes_probes = 0;
     size_t bytes_indexes = 0;
@@ -303,7 +306,6 @@ class PliCache {
   struct Snapshot {
     std::unordered_map<AttrSet, std::shared_ptr<const Pli>, AttrSetHash> plis;
     std::unordered_map<AttrId, std::shared_ptr<const PliProbe>> probes;
-    std::unordered_map<AttrId, std::shared_ptr<const ValueIndex>> indexes;
     std::unordered_map<AttrId, std::shared_ptr<const CodeColumn>> columns;
     uint64_t epoch = 0;
   };
@@ -312,24 +314,22 @@ class PliCache {
   PliPtr BuildFor(const AttrSet& attrs);
 
   /// Rebuilds the snapshot table from the live maps and swaps it in with
-  /// one release-store. `flush_publish` distinguishes the flush-driven
-  /// swaps (the publishes == flushes identity) from build-driven refreshes
-  /// (a miss adding a fresh entry). Requires mu_; COW mode only.
+  /// one release-store, releasing the superseded table in the spare slot.
+  /// `flush_publish` distinguishes the flush-driven swaps (the publishes ==
+  /// flushes identity, timed as engine.pli_cache.flush.publish_ns) from
+  /// build-driven refreshes (a miss adding a fresh entry). Never touches
+  /// the value indexes. Requires mu_; COW mode only.
   void PublishLocked(bool flush_publish);
 
   /// Replaces every cached structure the imminent flush will patch with a
   /// same-content successor copy, so the patch mutates only objects no
   /// published snapshot (and no earlier reader) can reference. `changed`
   /// scopes the copies to affected attributes; inserts touch every entry
-  /// (row-count bookkeeping) and every probe (label arrays grow).
+  /// (row-count bookkeeping), every probe (label arrays grow), and every
+  /// code column. The value indexes are flush-private — no reader can
+  /// hold one — so they are patched in place, never cloned.
   /// Requires mu_; COW mode only.
   void CloneForCowLocked(const AttrSet& changed, bool has_inserts);
-
-  /// The storage mode every partition of this cache is built with.
-  Pli::Storage PartitionStorage() const {
-    return options_.arena_storage ? Pli::Storage::kArena
-                                  : Pli::Storage::kVectors;
-  }
 
   /// Drops completed evictable entries beyond max_entries, then — when a
   /// memory budget is configured — keeps evicting least recently used
@@ -351,7 +351,7 @@ class PliCache {
   /// Applies the pending-delta buffer to every cached structure, choosing
   /// per-row replay, batched apply, or drop-everything by the net burst
   /// size (see file comment). Requires mu_; every read path calls this
-  /// before touching entries_/value_indexes_/probes_.
+  /// before touching entries_/probes_/code_columns_.
   void FlushPendingLocked();
 
   /// Per-row replay of one net insert/update — the PR 3 patch bodies.
@@ -583,8 +583,8 @@ class PliCache {
   EntryMap entries_;
   std::unordered_map<AttrId, std::shared_ptr<PliProbe>>
       probes_;  // memoized probes, patched in place alongside the clusters
-  std::unordered_map<AttrId, std::shared_ptr<ValueIndex>>
-      value_indexes_;  // pinned and patched; the selections' value -> rows view
+  std::unordered_map<AttrId, ValueIndex>
+      value_indexes_;  // flush-private partner-scan/splice base; never shared
   std::unordered_map<AttrId, std::shared_ptr<CodeColumn>>
       code_columns_;  // pinned and patched; the columnar value plane
   std::list<AttrSet> lru_;  // front = most recently used, evictable keys only
@@ -659,7 +659,7 @@ std::vector<Pli::ClusterPatch> ValueIndexApplyUpdateBatch(
 /// Zero-copy capture: the same splice, but the returned patches *borrow*
 /// their replacement rows as spans into the just-spliced index clusters
 /// (Pli::ClusterPatchView) instead of copying them. Valid until the index
-/// is next modified; the arena flush consumes them immediately, landing
+/// is next modified; the flush consumes them immediately, landing
 /// each replacement in the partition with exactly one copy
 /// (index -> arena) instead of two (index -> patch -> storage).
 std::vector<Pli::ClusterPatchView> ValueIndexApplyUpdateBatchViews(

@@ -54,6 +54,7 @@ namespace {
 using testutil::MakePlantedFdInstance;
 using testutil::RandomSoakTuple;
 using testutil::RandomSoakValue;
+using testutil::VerifyColumnMatchesFreshBuild;
 
 uint64_t ChaosSeed(uint64_t salt) {
   return TestSeed(0xC4A05C4A05C4A050ull, salt, "chaos");
@@ -86,7 +87,7 @@ bool AbsorbFaults(const Fn& fn) {
 // reads would otherwise inject too).
 void VerifyCacheAgainstRebuild(const FlexibleRelation& rel,
                                const std::vector<AttrSet>& partitions,
-                               const std::vector<AttrId>& indexes,
+                               const std::vector<AttrId>& columns,
                                const std::string& context) {
   ASSERT_FALSE(fault::Enabled()) << context;
   std::shared_ptr<PliCache> cache = rel.pli_cache();
@@ -100,9 +101,10 @@ void VerifyCacheAgainstRebuild(const FlexibleRelation& rel,
     ASSERT_TRUE(survived->CheckInvariants(&err))
         << context << " partition " << attrs.ToString() << ": " << err;
   }
-  for (AttrId attr : indexes) {
-    ASSERT_EQ(*cache->IndexFor(attr), *rebuild.IndexFor(attr))
-        << context << " value index of attr " << attr << " diverged";
+  for (AttrId attr : columns) {
+    ASSERT_NO_FATAL_FAILURE(VerifyColumnMatchesFreshBuild(
+        *cache->CodeColumnFor(attr), rel.rows(),
+        StrCat(context, " code column of attr ", attr)));
   }
   EXPECT_TRUE(cache->SnapshotPinsDrained())
       << context << " leaked a snapshot pin";
@@ -133,10 +135,10 @@ TEST(EngineChaosSoak, SurvivedFaultsLeaveCacheRebuildEquivalent) {
     partitions.push_back(AttrSet{attrs[0], attrs[1]});
     partitions.push_back(AttrSet{attrs[1], attrs[2]});
     partitions.push_back(AttrSet{attrs[2], attrs[3], attrs[4]});
-    std::vector<AttrId> indexes = {attrs[0], attrs[1], attrs[2]};
+    std::vector<AttrId> columns = {attrs[0], attrs[1], attrs[2]};
     std::shared_ptr<PliCache> cache = rel.pli_cache();
     for (const AttrSet& k : partitions) (void)cache->Get(k);
-    for (AttrId a : indexes) (void)cache->IndexFor(a);
+    for (AttrId a : columns) (void)cache->CodeColumnFor(a);
 
     const int kOps = 80;
     for (int op = 0; op < kOps; ++op) {
@@ -181,12 +183,12 @@ TEST(EngineChaosSoak, SurvivedFaultsLeaveCacheRebuildEquivalent) {
       // surface no exception — are audited too.
       if (faulted || op % 16 == 15) {
         ASSERT_NO_FATAL_FAILURE(VerifyCacheAgainstRebuild(
-            rel, partitions, indexes,
+            rel, partitions, columns,
             StrCat("round ", round, " op#", op, " seed ", op_seed)));
       }
     }
     ASSERT_NO_FATAL_FAILURE(VerifyCacheAgainstRebuild(
-        rel, partitions, indexes, StrCat("round ", round, " final")));
+        rel, partitions, columns, StrCat("round ", round, " final")));
   }
   // ~1/8 of hits inject and every op passes several sites: a soak that
   // never injected is a broken harness, not a robust engine.

@@ -1,6 +1,6 @@
 // Concurrency soak for the COW snapshot plane (PliCache with
 // PliCacheOptions::cow_reads, the default): N reader threads resolve cached
-// partitions, probes, and value indexes through the published snapshot
+// partitions, probes, and code columns through the published snapshot
 // while M writer threads mutate the relation, and every structure a reader
 // observes must be internally coherent — CheckInvariants holds, and the
 // probe describes exactly the partition's clustering (a label bijection)
@@ -13,7 +13,7 @@
 // vector itself is NOT under the snapshot contract (mutators synchronize
 // rows() access externally, see src/engine/README.md), so a cold miss —
 // which rebuilds from rows() — belongs to the write side. Warmed singles,
-// pairs, and indexes are never dropped by sub-threshold per-row flushes,
+// pairs, and columns are never dropped by sub-threshold per-row flushes,
 // so every reader access resolves against immutable snapshot structures.
 // This is the suite the CI TSan job runs; a reader acquiring mu_ (or a
 // writer publishing a structure it then patches) is a data-race report,
@@ -34,6 +34,7 @@
 
 #include "core/flexible_relation.h"
 #include "engine/pli_cache.h"
+#include "engine_test_util.h"
 #include "telemetry/telemetry.h"
 #include "test_seed.h"
 #include "util/rng.h"
@@ -107,7 +108,7 @@ void VerifyProbeBijection(const Pli& pli, const PliProbe& probe,
 
 struct WarmKeys {
   std::vector<AttrSet> partitions;  // singles first, then composites
-  std::vector<AttrId> indexes;      // every attribute (partner-scan source)
+  std::vector<AttrId> columns;      // every attribute
 };
 
 WarmKeys WarmCache(PliCache* cache, const std::vector<AttrId>& attrs) {
@@ -117,9 +118,9 @@ WarmKeys WarmCache(PliCache* cache, const std::vector<AttrId>& attrs) {
   keys.partitions.push_back(AttrSet{attrs[2], attrs[3]});
   keys.partitions.push_back(AttrSet{attrs[0], attrs[2], attrs[4]});
   keys.partitions.push_back(AttrSet());
-  keys.indexes = attrs;
+  keys.columns = attrs;
   for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-  for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+  for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
   for (AttrId a : attrs) (void)cache->ProbeFor(a);
   return keys;
 }
@@ -143,9 +144,10 @@ void VerifyAgainstRebuildAtQuiesce(const FlexibleRelation& rel,
           StrCat(context, " probe of ", k.ToString())));
     }
   }
-  for (AttrId a : keys.indexes) {
-    ASSERT_EQ(*cache->IndexFor(a), *rebuild.IndexFor(a))
-        << context << " value index of attr " << a << " diverged";
+  for (AttrId a : keys.columns) {
+    ASSERT_NO_FATAL_FAILURE(testutil::VerifyColumnMatchesFreshBuild(
+        *cache->CodeColumnFor(a), rel.rows(),
+        StrCat(context, " code column of attr ", a)));
   }
 }
 
@@ -229,7 +231,11 @@ TEST(EngineConcurrencySoak, ReadersObserveCoherentSnapshotsUnderWriters) {
             bracketed_checks.fetch_add(1, std::memory_order_relaxed);
           }
         }
-        (void)cache->IndexFor(keys.indexes[rng.Index(keys.indexes.size())]);
+        std::shared_ptr<const CodeColumn> column = cache->CodeColumnFor(
+            keys.columns[rng.Index(keys.columns.size())]);
+        std::string column_err;
+        EXPECT_TRUE(column->CheckInvariants(&column_err))
+            << "reader " << r << " code column: " << column_err;
       }
     });
   }
@@ -305,9 +311,13 @@ TEST(EngineConcurrencySoak, CowModeMatchesLockedOracleAcrossSeeds) {
               << "seed#" << s << " op#" << op << " partition "
               << k.ToString();
         }
-        for (AttrId a : cow_keys.indexes) {
-          ASSERT_EQ(*lhs->IndexFor(a), *rhs->IndexFor(a))
-              << "seed#" << s << " op#" << op << " index attr " << a;
+        for (AttrId a : cow_keys.columns) {
+          const std::string context =
+              StrCat("seed#", s, " op#", op, " column attr ", a);
+          ASSERT_NO_FATAL_FAILURE(testutil::VerifyColumnMatchesFreshBuild(
+              *lhs->CodeColumnFor(a), cow.rows(), context + " cow"));
+          ASSERT_NO_FATAL_FAILURE(testutil::VerifyColumnMatchesFreshBuild(
+              *rhs->CodeColumnFor(a), locked.rows(), context + " locked"));
         }
       }
     }
@@ -343,6 +353,8 @@ TEST(EngineConcurrencySoak, HeldSnapshotStructuresAreFrozenAcrossEpochs) {
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   std::shared_ptr<const Pli> held = cache->Get(AttrSet::Of(a));
   const Pli before = *held;  // deep copy: the frozen-state oracle
+  std::shared_ptr<const CodeColumn> held_column = cache->CodeColumnFor(a);
+  const CodeColumn column_before = *held_column;
   const uint64_t epoch_before = cache->SnapshotEpoch();
 
   ASSERT_TRUE(rel.Update(0, a, Value::Int(41)).ok());
@@ -351,12 +363,21 @@ TEST(EngineConcurrencySoak, HeldSnapshotStructuresAreFrozenAcrossEpochs) {
   // The held pointer still describes the epoch it was read from...
   EXPECT_EQ(*held, before)
       << "a published partition was patched in place under a reader";
+  EXPECT_EQ(held_column->codes(), column_before.codes())
+      << "a published code column was patched in place under a reader";
+  for (CodeColumn::Code c = 0; c < column_before.code_bound(); ++c) {
+    EXPECT_EQ(held_column->Bucket(c), column_before.Bucket(c)) << "code " << c;
+  }
   EXPECT_GT(cache->SnapshotEpoch(), epoch_before);
   // ...while a re-read resolves the successor epoch's structure.
   std::shared_ptr<const Pli> fresh = cache->Get(AttrSet::Of(a));
   EXPECT_NE(fresh.get(), held.get());
   PliCache rebuild(&rel.rows());
   EXPECT_EQ(*fresh, *rebuild.Get(AttrSet::Of(a)));
+  std::shared_ptr<const CodeColumn> fresh_column = cache->CodeColumnFor(a);
+  EXPECT_NE(fresh_column.get(), held_column.get());
+  testutil::VerifyColumnMatchesFreshBuild(*fresh_column, rel.rows(),
+                                          "re-read column");
 }
 
 }  // namespace

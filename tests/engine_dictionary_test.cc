@@ -5,10 +5,11 @@
 // any interleaving of cache-flushed inserts and updates (footnote-3 type
 // changes included) — always satisfies its structural invariants, codes
 // Values injectively within a generation, and is observationally equal to
-// the value-keyed machinery it replaces: counting-sort partitions equal
-// hash-built ones, coded selections return the rows the value index
-// returns, and everything downstream (the evaluator, hybrid discovery) is
-// bit-identical between PliCacheOptions::use_codes on and off.
+// the semantic oracles: counting-sort partitions equal hash-built ones, a
+// maintained column describes the rows exactly as CodeColumn::Build over
+// them does, coded selections return the rows per-tuple evaluation
+// accepts, and everything downstream is identical to the naive evaluator
+// (EvalOptions::use_engine = false) and brute-force discovery.
 //
 // Randomized suites take their seed from FLEXREL_TEST_SEED when set (the
 // CI seed-diversity step passes the run id) and print it, so failures are
@@ -22,6 +23,7 @@
 #include <vector>
 
 #include "algebra/evaluate.h"
+#include "core/discovery.h"
 #include "engine/dictionary.h"
 #include "engine/parallel_discovery.h"
 #include "engine/pli_cache.h"
@@ -37,6 +39,7 @@ namespace {
 using testutil::ApplyRandomEmployeeMutation;
 using testutil::RandomSoakTuple;
 using testutil::SoakEmployeeConfig;
+using testutil::VerifyColumnMatchesFreshBuild;
 
 uint64_t SoakSeed(uint64_t salt) {
   return TestSeed(0xD1C7C0DEC0FFEEull, salt, "dictionary");
@@ -223,13 +226,10 @@ TEST(CodeColumnTest, BuildFromCodesMatchesValueBuild) {
     CodeColumn column = CodeColumn::Build(rows, a);
     VerifyColumnAgainstRows(column, rows, StrCat("attr ", a));
     // Canonical-form Pli equality is exact, so the counting sort must
-    // reproduce the hash build bit for bit — in both storage modes.
-    EXPECT_EQ(Pli::BuildFromCodes(column.codes(), column.code_bound(),
-                                  Pli::Storage::kArena),
-              Pli::Build(rows, a));
-    EXPECT_EQ(Pli::BuildFromCodes(column.codes(), column.code_bound(),
-                                  Pli::Storage::kVectors),
-              Pli::Build(rows, a, Pli::Storage::kVectors));
+    // reproduce the hash build bit for bit.
+    Pli coded = Pli::BuildFromCodes(column.codes(), column.code_bound());
+    EXPECT_EQ(coded, Pli::Build(rows, a));
+    EXPECT_EQ(coded.defined_rows(), Pli::Build(rows, a).defined_rows());
   }
 }
 
@@ -268,6 +268,8 @@ TEST(CodeColumnTest, CodeSpaceGrowsCoherentlyAcrossBatchBursts) {
     ASSERT_NE(column, nullptr);
     VerifyColumnAgainstRows(*column, rel.rows(),
                             StrCat("after burst of ", burst));
+    ASSERT_NO_FATAL_FAILURE(VerifyColumnMatchesFreshBuild(
+        *column, rel.rows(), StrCat("after burst of ", burst)));
     // Within a generation codes are append-only, so the bound is monotone
     // unless a re-intern or cache drop compacted the space — both of which
     // announce themselves through the generation tag.
@@ -275,17 +277,17 @@ TEST(CodeColumnTest, CodeSpaceGrowsCoherentlyAcrossBatchBursts) {
       EXPECT_NE(column->generation(), 1u);
     }
     last_bound = column->code_bound();
-    // The partitions built from the column agree with value-keyed builds.
+    // The partitions built from the column agree with hash builds.
     EXPECT_EQ(*cache->Get(AttrSet::Of(attrs[0])),
               Pli::Build(rel.rows(), attrs[0]));
   }
 }
 
 // ---------------------------------------------------------------------------
-// Coded selection: CodedMatches vs the value index, literal by literal.
+// Coded selection: CodedMatches vs per-tuple evaluation, literal by literal.
 // ---------------------------------------------------------------------------
 
-TEST(CodeColumnTest, CodedMatchesEqualsIndexMatches) {
+TEST(CodeColumnTest, CodedMatchesEqualsPerTupleEvaluation) {
   Rng rng(SoakSeed(3));
   std::vector<AttrId> attrs = {0, 1};
   FlexibleRelation rel = FlexibleRelation::Derived("sel", DependencySet());
@@ -294,7 +296,7 @@ TEST(CodeColumnTest, CodedMatchesEqualsIndexMatches) {
   const AttrId a = attrs[0];
   std::shared_ptr<const CodeColumn> column = cache->CodeColumnFor(a);
   ASSERT_NE(column, nullptr);
-  std::shared_ptr<const PliCache::ValueIndex> index = cache->IndexFor(a);
+  const CodeColumn fresh = CodeColumn::Build(rel.rows(), a);
 
   std::vector<ExprPtr> formulas;
   formulas.push_back(Expr::Eq(a, Value::Int(2)));
@@ -303,131 +305,126 @@ TEST(CodeColumnTest, CodedMatchesEqualsIndexMatches) {
   formulas.push_back(Expr::In(a, {Value::Int(0), Value::Str("s1")}));
   formulas.push_back(Expr::In(a, {Value::Null(), Value::Int(3)}));
   for (size_t i = 0; i < formulas.size(); ++i) {
-    EXPECT_EQ(CodedMatches(*column, *formulas[i]),
-              IndexMatches(*index, *formulas[i]))
+    // The oracle: the naive evaluator's selection body, row by row.
+    std::vector<Pli::RowId> accepted;
+    for (size_t r = 0; r < rel.size(); ++r) {
+      if (formulas[i]->Accepts(rel.row(r))) {
+        accepted.push_back(static_cast<Pli::RowId>(r));
+      }
+    }
+    EXPECT_EQ(CodedMatches(*column, *formulas[i]), accepted)
         << "formula " << i;
+    EXPECT_EQ(CodedMatches(fresh, *formulas[i]), accepted) << "formula " << i;
   }
   EXPECT_TRUE(CodedMatches(*column, *formulas[2]).empty());
 }
 
 // ---------------------------------------------------------------------------
-// The 30-seed codes-vs-Value oracle soak (seeded_suites.txt entry).
+// The 30-seed coded-plane-vs-semantic-oracles soak (seeded_suites.txt entry).
 // ---------------------------------------------------------------------------
 
-// One seed's worth: two identical employee workloads driven by identical
-// mutation streams — one relation on the coded plane, one pinned to the
-// value-keyed oracle — must end observationally equal at every layer:
-// cached partitions, evaluator output, and hybrid discovery results.
-void RunCodesVsValueOracleSoak(uint64_t seed) {
+// One seed's worth: an employee workload driven by a random mutation
+// stream, its cache touched between mutations, must end observationally
+// equal to the semantic oracles at every layer: cached partitions and
+// columns against from-scratch builds, evaluator output against the naive
+// evaluator, and engine discovery (both strategies) against brute force.
+void RunCodesVsSemanticOracleSoak(uint64_t seed) {
   const std::string context = StrCat("seed ", seed);
   auto coded_workload = MakeEmployeeWorkload(SoakEmployeeConfig(seed, 48));
-  auto oracle_workload = MakeEmployeeWorkload(SoakEmployeeConfig(seed, 48));
+  auto partner_workload = MakeEmployeeWorkload(SoakEmployeeConfig(seed, 48));
   ASSERT_TRUE(coded_workload.ok()) << context;
-  ASSERT_TRUE(oracle_workload.ok()) << context;
+  ASSERT_TRUE(partner_workload.ok()) << context;
   EmployeeWorkload& coded = *coded_workload.value();
-  EmployeeWorkload& oracle = *oracle_workload.value();
-  PliCacheOptions value_keyed;
-  value_keyed.use_codes = false;
-  oracle.relation.SetPliCacheOptions(value_keyed);
+  EmployeeWorkload& partner = *partner_workload.value();
 
   const std::vector<AttrId>& touch_attrs = coded.common_attrs.ids();
   auto touch = [&](EmployeeWorkload& w) {
     std::shared_ptr<PliCache> cache = w.relation.pli_cache();
     for (AttrId a : touch_attrs) {
       (void)cache->Get(AttrSet::Of(a));
-      (void)cache->IndexFor(a);
+      (void)cache->CodeColumnFor(a);
     }
   };
 
-  // Identical streams: ApplyRandomEmployeeMutation is deterministic in
-  // (workload state, rng state), and both sides start equal.
+  // Independent streams: the join partner diverges from the soaked
+  // relation, so the join below pairs genuinely different instances.
   Rng coded_rng(seed * 31 + 7);
-  Rng oracle_rng(seed * 31 + 7);
+  Rng partner_rng(seed * 37 + 11);
   for (int op = 0; op < 60; ++op) {
     auto coded_out = ApplyRandomEmployeeMutation(&coded, &coded_rng);
-    auto oracle_out = ApplyRandomEmployeeMutation(&oracle, &oracle_rng);
+    auto partner_out = ApplyRandomEmployeeMutation(&partner, &partner_rng);
     ASSERT_TRUE(coded_out.status.ok()) << context << " op " << op;
-    ASSERT_TRUE(oracle_out.status.ok()) << context << " op " << op;
+    ASSERT_TRUE(partner_out.status.ok()) << context << " op " << op;
     if (op % 9 == 0) {
       touch(coded);
-      touch(oracle);
+      touch(partner);
     }
   }
-  ASSERT_EQ(coded.relation.rows(), oracle.relation.rows()) << context;
 
   // Layer 1: cached structures. Counting-sort partitions equal hash-built
-  // ones, and the maintained column still describes every row.
+  // ones, and the maintained column still describes every row exactly as
+  // a fresh build over the final rows does.
   std::shared_ptr<PliCache> coded_cache = coded.relation.pli_cache();
-  std::shared_ptr<PliCache> oracle_cache = oracle.relation.pli_cache();
   for (AttrId a : touch_attrs) {
     EXPECT_EQ(*coded_cache->Get(AttrSet::Of(a)),
-              *oracle_cache->Get(AttrSet::Of(a)))
+              Pli::Build(coded.relation.rows(), a))
         << context << " attr " << a;
     std::shared_ptr<const CodeColumn> column = coded_cache->CodeColumnFor(a);
     ASSERT_NE(column, nullptr) << context;
     VerifyColumnAgainstRows(*column, coded.relation.rows(),
                             StrCat(context, " attr ", a));
-    EXPECT_EQ(oracle_cache->CodeColumnFor(a), nullptr)
-        << "the value-keyed oracle must not run the coded plane";
+    ASSERT_NO_FATAL_FAILURE(VerifyColumnMatchesFreshBuild(
+        *column, coded.relation.rows(), StrCat(context, " attr ", a)));
   }
 
   // Layer 2: the evaluator. Same rows out of an indexable selection and a
-  // self-join shaped plan, coded vs value-keyed vs naive.
-  EvalOptions value_eval;
-  value_eval.use_codes = false;
+  // join of the two relations, engine vs naive.
   EvalOptions naive_eval;
   naive_eval.use_engine = false;
   PlanPtr select = Plan::Select(
       Plan::Scan(&coded.relation),
       Expr::Eq(coded.jobtype_attr, coded.jobtype_values.front()));
   auto coded_sel = Evaluate(select, EvalOptions());
-  auto value_sel = Evaluate(select, value_eval);
   auto naive_sel = Evaluate(select, naive_eval);
-  ASSERT_TRUE(coded_sel.ok() && value_sel.ok() && naive_sel.ok()) << context;
+  ASSERT_TRUE(coded_sel.ok() && naive_sel.ok()) << context;
   auto sorted = [](const FlexibleRelation& rel) {
     std::vector<Tuple> rows = rel.rows();
     std::sort(rows.begin(), rows.end());
     return rows;
   };
-  EXPECT_EQ(sorted(coded_sel.value()), sorted(value_sel.value())) << context;
   EXPECT_EQ(sorted(coded_sel.value()), sorted(naive_sel.value())) << context;
 
   PlanPtr join = Plan::NaturalJoin(Plan::Scan(&coded.relation),
-                                   Plan::Scan(&oracle.relation));
+                                   Plan::Scan(&partner.relation));
   auto coded_join = Evaluate(join, EvalOptions());
-  auto value_join = Evaluate(join, value_eval);
   auto naive_join = Evaluate(join, naive_eval);
-  ASSERT_TRUE(coded_join.ok() && value_join.ok() && naive_join.ok())
-      << context;
-  EXPECT_EQ(sorted(coded_join.value()), sorted(value_join.value())) << context;
+  ASSERT_TRUE(coded_join.ok() && naive_join.ok()) << context;
   EXPECT_EQ(sorted(coded_join.value()), sorted(naive_join.value())) << context;
 
-  // Layer 3: discovery — level-wise and hybrid, coded vs value-keyed, all
-  // four bit-identical (sampling evidence restriction is sound).
+  // Layer 3: discovery — level-wise and hybrid over the coded plane, both
+  // identical to brute force.
   AttrSet universe = coded.relation.ActiveAttrs();
+  DiscoveryOptions brute_opts;
+  brute_opts.use_engine = false;
+  DependencySet brute =
+      DiscoverDependencies(coded.relation.rows(), universe, brute_opts);
   for (DiscoveryStrategy strategy :
        {DiscoveryStrategy::kLevelWise, DiscoveryStrategy::kHybrid}) {
     EngineDiscoveryOptions coded_opts;
     coded_opts.strategy = strategy;
-    EngineDiscoveryOptions value_opts = coded_opts;
-    value_opts.use_codes = false;
-    DependencySet with_codes =
-        EngineDiscoverDependencies(coded.relation.rows(), universe,
-                                   coded_opts);
-    DependencySet without =
-        EngineDiscoverDependencies(coded.relation.rows(), universe,
-                                   value_opts);
-    EXPECT_EQ(with_codes.fds(), without.fds())
+    DependencySet with_codes = EngineDiscoverDependencies(
+        coded.relation.rows(), universe, coded_opts);
+    EXPECT_EQ(with_codes.fds(), brute.fds())
         << context << " strategy " << static_cast<int>(strategy);
-    EXPECT_EQ(with_codes.ads(), without.ads())
+    EXPECT_EQ(with_codes.ads(), brute.ads())
         << context << " strategy " << static_cast<int>(strategy);
   }
 }
 
-TEST(EngineDictionarySoak, CodesMatchValueOracleAcrossThirtySeeds) {
+TEST(EngineDictionarySoak, CodesMatchSemanticOraclesAcrossThirtySeeds) {
   const uint64_t base = SoakSeed(4);
   for (uint64_t s = 0; s < 30; ++s) {
-    ASSERT_NO_FATAL_FAILURE(RunCodesVsValueOracleSoak(base + s))
+    ASSERT_NO_FATAL_FAILURE(RunCodesVsSemanticOracleSoak(base + s))
         << "seed " << base + s;
   }
 }

@@ -3,8 +3,8 @@
 // primitives).
 //
 // The contract under test: after ANY interleaving of Insert /
-// InsertUnchecked / Update with Get / IndexFor queries, every cached
-// partition and value index is structurally equal to a from-scratch rebuild
+// InsertUnchecked / Update with Get / CodeColumnFor queries, every cached
+// partition and code column is structurally equal to a from-scratch rebuild
 // over the mutated instance — clusters (canonical form, so Pli::operator==
 // is exact), defined_rows, grouped_rows and NumDistinct all agree — and the
 // incremental mode is observationally identical to the
@@ -37,6 +37,7 @@ using testutil::ApplyRandomEmployeeMutation;
 using testutil::RandomSoakTuple;
 using testutil::RandomSoakValue;
 using testutil::SoakEmployeeConfig;
+using testutil::VerifyColumnMatchesFreshBuild;
 
 uint64_t SoakSeed(uint64_t salt) {
   return TestSeed(0xF1E37A11DEADBEEFull, salt, "soak");
@@ -156,7 +157,7 @@ TEST(ValueIndexPatchTest, InsertAndUpdateKeepListsAscendingAndExact) {
 
 struct SoakKeys {
   std::vector<AttrSet> partitions;
-  std::vector<AttrId> indexes;
+  std::vector<AttrId> columns;
 };
 
 // A patched probe must describe the same clustering as a from-scratch
@@ -190,7 +191,7 @@ void VerifyProbeEquivalent(const PliProbe& patched, const Pli& fresh_pli,
 
 // Asserts every tracked structure of `rel`'s attached cache equals a
 // from-scratch rebuild over the current rows — clusters, counters, arena
-// invariants, value indexes, and the incrementally patched probes.
+// invariants, code columns, and the incrementally patched probes.
 void VerifyAgainstRebuild(const FlexibleRelation& rel, const SoakKeys& keys,
                           const std::string& context) {
   std::shared_ptr<PliCache> cache = rel.pli_cache();
@@ -220,9 +221,10 @@ void VerifyAgainstRebuild(const FlexibleRelation& rel, const SoakKeys& keys,
           StrCat(context, " probe of ", attrs.ToString())));
     }
   }
-  for (AttrId attr : keys.indexes) {
-    ASSERT_EQ(*cache->IndexFor(attr), *rebuild.IndexFor(attr))
-        << context << " value index of attr " << attr << " diverged";
+  for (AttrId attr : keys.columns) {
+    ASSERT_NO_FATAL_FAILURE(VerifyColumnMatchesFreshBuild(
+        *cache->CodeColumnFor(attr), rel.rows(),
+        StrCat(context, " code column of attr ", attr)));
   }
 }
 
@@ -235,17 +237,17 @@ TEST(EngineIncrementalSoak, DerivedRelationPatchesMatchRebuilds) {
   FlexibleRelation rel = FlexibleRelation::Derived("soak", DependencySet());
   for (int i = 0; i < 60; ++i) rel.InsertUnchecked(RandomSoakTuple(attrs, &rng));
 
-  // Warm the cache: singles, pairs, a triple, the ∅-partition, and indexes.
+  // Warm the cache: singles, pairs, a triple, the ∅-partition, and columns.
   SoakKeys keys;
   for (AttrId a : attrs) keys.partitions.push_back(AttrSet::Of(a));
   keys.partitions.push_back(AttrSet{attrs[0], attrs[1]});
   keys.partitions.push_back(AttrSet{attrs[1], attrs[2]});
   keys.partitions.push_back(AttrSet{attrs[0], attrs[2], attrs[3]});
   keys.partitions.push_back(AttrSet());
-  keys.indexes = {attrs[0], attrs[1], attrs[2], attrs[3]};
+  keys.columns = {attrs[0], attrs[1], attrs[2], attrs[3]};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-  for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+  for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
 
   const int kOps = 300;
   for (int op = 0; op < kOps; ++op) {
@@ -348,7 +350,7 @@ TEST(EngineIncrementalSoak, ProbeBloatCheckHasHysteresisAcrossStripChurn) {
     }
   }
   std::shared_ptr<PliCache> cache = rel.pli_cache();
-  (void)cache->IndexFor(a);
+  (void)cache->CodeColumnFor(a);
   ASSERT_EQ(cache->Get(AttrSet::Of(a))->num_clusters(),
             static_cast<size_t>(kClusters));
   (void)cache->ProbeFor(a);  // bound = baseline = 120
@@ -414,12 +416,12 @@ TEST(EngineIncrementalSoak, IncrementalModeMatchesDropEverythingOracle) {
   for (AttrId a : attrs) keys.partitions.push_back(AttrSet::Of(a));
   keys.partitions.push_back(AttrSet{attrs[0], attrs[3]});
   keys.partitions.push_back(AttrSet{attrs[1], attrs[2], attrs[4]});
-  keys.indexes = {attrs[0], attrs[2], attrs[4]};
+  keys.columns = {attrs[0], attrs[2], attrs[4]};
 
   auto touch = [&](FlexibleRelation* rel) {
     std::shared_ptr<PliCache> cache = rel->pli_cache();
     for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-    for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+    for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
   };
 
   for (int op = 0; op < 250; ++op) {
@@ -446,8 +448,13 @@ TEST(EngineIncrementalSoak, IncrementalModeMatchesDropEverythingOracle) {
         ASSERT_EQ(lhs->Get(k)->defined_rows(), rhs->Get(k)->defined_rows())
             << "op#" << op << " partition " << k.ToString();
       }
-      for (AttrId a : keys.indexes) {
-        ASSERT_EQ(*lhs->IndexFor(a), *rhs->IndexFor(a)) << "op#" << op;
+      for (AttrId a : keys.columns) {
+        ASSERT_NO_FATAL_FAILURE(VerifyColumnMatchesFreshBuild(
+            *lhs->CodeColumnFor(a), incremental.rows(),
+            StrCat("op#", op, " incremental")));
+        ASSERT_NO_FATAL_FAILURE(VerifyColumnMatchesFreshBuild(
+            *rhs->CodeColumnFor(a), oracle.rows(),
+            StrCat("op#", op, " oracle")));
       }
     }
   }
@@ -482,11 +489,11 @@ TEST(EngineIncrementalSoak, TypedUpdatesWithTypeChangesPatchCorrectly) {
       if (first_variant_attr == 0) first_variant_attr = a;
     }
   }
-  keys.indexes = {workload.id_attr, workload.jobtype_attr,
+  keys.columns = {workload.id_attr, workload.jobtype_attr,
                   first_variant_attr};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-  for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+  for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
 
   int type_changes = 0;
   for (int op = 0; op < 150; ++op) {
@@ -567,44 +574,41 @@ TEST(PliPatchTest, ApplyBatchHandlesInsertBursts) {
   EXPECT_EQ(pli.NumDistinct(), 3u);
 }
 
-TEST(PliPatchTest, ViewBasedBatchSpliceMatchesTheOwningOne) {
+TEST(PliPatchTest, ViewBasedBatchSpliceMatchesARebuild) {
   // The zero-copy capture (ValueIndexApplyUpdateBatchViews +
   // ApplyBatch(ClusterPatchView)) must leave index and partition in exactly
-  // the state the owning-patch pipeline produces — in both storage modes.
+  // the state a from-scratch build of the mutated rows has.
   const AttrId a = 6;
-  for (Pli::Storage storage :
-       {Pli::Storage::kArena, Pli::Storage::kVectors}) {
-    std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 2, 2, 3, 2, 1});
-    Pli pli = Pli::Build(rows, a, storage);
-    PliCache::ValueIndex index;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ValueIndexApplyInsert(&index, static_cast<Pli::RowId>(i),
-                            rows[i].Get(a));
-    }
-    // Burst: row 0 1->3 (un-strips row 4), row 3 2->1, row 5 2->9 (fresh
-    // stripped value), so clusters dissolve, shrink, grow, and appear.
-    Value one = Value::Int(1), two = Value::Int(2), three = Value::Int(3),
-          nine = Value::Int(9);
-    std::vector<ValueIndexDelta> deltas = {
-        {0, &one, &three}, {3, &two, &one}, {5, &two, &nine}};
-    std::vector<Pli::ClusterPatchView> views =
-        ValueIndexApplyUpdateBatchViews(&index, deltas);
-    ASSERT_FALSE(views.empty());
-    ASSERT_TRUE(pli.ApplyBatch(std::move(views), /*defined_delta=*/0));
-
-    rows[0].Set(a, Value::Int(3));
-    rows[3].Set(a, Value::Int(1));
-    rows[5].Set(a, Value::Int(9));
-    EXPECT_EQ(pli, Pli::Build(rows, a));
-    std::string err;
-    EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
-    PliCache::ValueIndex fresh;
-    for (size_t i = 0; i < rows.size(); ++i) {
-      ValueIndexApplyInsert(&fresh, static_cast<Pli::RowId>(i),
-                            rows[i].Get(a));
-    }
-    EXPECT_EQ(index, fresh);
+  std::vector<Tuple> rows = RowsWithValues(a, {1, 1, 2, 2, 3, 2, 1});
+  Pli pli = Pli::Build(rows, a);
+  PliCache::ValueIndex index;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ValueIndexApplyInsert(&index, static_cast<Pli::RowId>(i),
+                          rows[i].Get(a));
   }
+  // Burst: row 0 1->3 (un-strips row 4), row 3 2->1, row 5 2->9 (fresh
+  // stripped value), so clusters dissolve, shrink, grow, and appear.
+  Value one = Value::Int(1), two = Value::Int(2), three = Value::Int(3),
+        nine = Value::Int(9);
+  std::vector<ValueIndexDelta> deltas = {
+      {0, &one, &three}, {3, &two, &one}, {5, &two, &nine}};
+  std::vector<Pli::ClusterPatchView> views =
+      ValueIndexApplyUpdateBatchViews(&index, deltas);
+  ASSERT_FALSE(views.empty());
+  ASSERT_TRUE(pli.ApplyBatch(std::move(views), /*defined_delta=*/0));
+
+  rows[0].Set(a, Value::Int(3));
+  rows[3].Set(a, Value::Int(1));
+  rows[5].Set(a, Value::Int(9));
+  EXPECT_EQ(pli, Pli::Build(rows, a));
+  std::string err;
+  EXPECT_TRUE(pli.CheckInvariants(&err)) << err;
+  PliCache::ValueIndex fresh;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ValueIndexApplyInsert(&fresh, static_cast<Pli::RowId>(i),
+                          rows[i].Get(a));
+  }
+  EXPECT_EQ(index, fresh);
 }
 
 TEST(PliPatchTest, ViewBasedBatchRefusesContradictionsAsANoOp) {
@@ -749,10 +753,10 @@ TEST(BatchMutationTest, FailedBatchLeavesRelationAndCacheUntouched) {
   keys.partitions.push_back(AttrSet::Of(workload.jobtype_attr));
   keys.partitions.push_back(
       AttrSet{workload.id_attr, workload.jobtype_attr});
-  keys.indexes = {workload.id_attr, workload.jobtype_attr};
+  keys.columns = {workload.id_attr, workload.jobtype_attr};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-  for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+  for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
 
   const std::vector<Tuple> rows_before = rel.rows();
   auto expect_untouched = [&](const char* what) {
@@ -814,6 +818,47 @@ TEST(BatchMutationTest, FailedBatchLeavesRelationAndCacheUntouched) {
   EXPECT_EQ(rel.size(), rows_before.size() + 1);
 }
 
+// One insert, an update of that inserted row, and an update of an existing
+// row, applied as one batch under the default options. The cache must see
+// the batch as one net delta: flushing the inserts on their own would diff
+// them against rows the batch's updates had already moved (the flush builds
+// its missing value indexes from the current rows), leaving the
+// single-attribute partition of `a` unequal to a rebuild.
+TEST(BatchMutationTest, MixedInsertAndUpdateBatchFlushesOnceAndMatchesRebuild) {
+  AttrCatalog catalog;
+  const AttrId a = catalog.Intern("a");
+  const AttrId b = catalog.Intern("b");
+  FlexibleRelation rel = FlexibleRelation::Derived("mixed", DependencySet());
+  const int64_t seed_rows[][2] = {{2, 0}, {2, 1}, {0, 0}, {0, 1}};
+  for (const auto& [va, vb] : seed_rows) {
+    Tuple t;
+    t.Set(a, Value::Int(va));
+    t.Set(b, Value::Int(vb));
+    rel.InsertUnchecked(t);
+  }
+  std::shared_ptr<PliCache> cache = rel.pli_cache();
+  for (AttrId x : {a, b}) (void)cache->Get(AttrSet::Of(x));
+  const PliCache::StatsSnapshot before = cache->Stats();
+
+  Tuple fresh;
+  fresh.Set(a, Value::Int(1));
+  fresh.Set(b, Value::Int(1));
+  std::vector<FlexibleRelation::Mutation> batch;
+  batch.push_back(FlexibleRelation::Mutation::Insert(fresh));
+  batch.push_back(FlexibleRelation::Mutation::Update(4, a, Value::Int(0)));
+  batch.push_back(FlexibleRelation::Mutation::Update(0, a, Value::Int(1)));
+  ASSERT_TRUE(rel.ApplyBatch(std::move(batch)).ok());
+
+  const PliCache::StatsSnapshot after = cache->Stats();
+  EXPECT_EQ(after.flushes, before.flushes + 1) << "one flush per batch";
+  EXPECT_EQ(after.publishes, before.publishes + 1) << "one publish per batch";
+  PliCache rebuild(&rel.rows());
+  for (AttrId x : {a, b}) {
+    EXPECT_EQ(*cache->Get(AttrSet::Of(x)), *rebuild.Get(AttrSet::Of(x)))
+        << "single-attribute partition of attr " << x << " diverged";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Randomized batch soak: InsertRows/UpdateRows/ApplyBatch bursts of sizes
 // 1/8/64/512 interleaved with single-row ops and reads, every cached
@@ -849,11 +894,11 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   keys.partitions.push_back(AttrSet{attrs[0], attrs[1]});
   keys.partitions.push_back(AttrSet{attrs[1], attrs[2], attrs[3]});
   keys.partitions.push_back(AttrSet());
-  keys.indexes = {attrs[0], attrs[2], attrs[5]};
+  keys.columns = {attrs[0], attrs[2], attrs[5]};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   auto warm = [&] {
     for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-    for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+    for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
   };
   warm();
 
@@ -973,18 +1018,31 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   EXPECT_GT(batched, 0u);
   EXPECT_GT(dropped, 0u);
   EXPECT_EQ(per_row + batched + dropped, flushes);
+  // Flush-phase histograms: each phase is timed at most once per counted
+  // flush and nests inside the flush's own timer, so no phase can out-count
+  // the flushes or out-sum flush_ns. The default COW mode runs all three.
+  const telemetry::Histogram::Snapshot flush_ns =
+      registry.GetHistogram("engine.pli_cache.flush_ns")->Snap();
+  for (const char* phase :
+       {"engine.pli_cache.flush.clone_ns", "engine.pli_cache.flush.patch_ns",
+        "engine.pli_cache.flush.publish_ns"}) {
+    const telemetry::Histogram::Snapshot snap =
+        registry.GetHistogram(phase)->Snap();
+    EXPECT_GT(snap.count, 0u) << phase;
+    EXPECT_LE(snap.count, flushes) << phase;
+    EXPECT_LE(snap.sum, flush_ns.sum) << phase;
+  }
   telemetry::Disable();
   registry.Reset();
 }
 
 // ---------------------------------------------------------------------------
-// The adaptive policy against its three pinned references: batch_threshold
-// = SIZE_MAX forces the PR 3 per-row path, incremental = false the drop-
-// everything oracle, and arena_storage = false runs the same adaptive
-// policy over the historical vector-of-vectors clusters — so every flush
-// arm is asserted structurally equal arena-vs-reference. One identical
-// mutation stream, four relations, every tracked structure equal after
-// every burst.
+// The adaptive policy against its pinned references and a from-scratch
+// rebuild: batch_threshold = SIZE_MAX forces the per-row path,
+// incremental = false the drop-everything oracle, and a fresh PliCache over
+// the adaptive relation's rows is the semantic oracle every flush arm is
+// asserted structurally equal to. One identical mutation stream, three
+// relations, every tracked structure equal after every burst.
 // ---------------------------------------------------------------------------
 
 TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
@@ -995,8 +1053,6 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
 
   FlexibleRelation adaptive =
       FlexibleRelation::Derived("adaptive", DependencySet());
-  FlexibleRelation reference =
-      FlexibleRelation::Derived("reference", DependencySet());
   FlexibleRelation per_row =
       FlexibleRelation::Derived("per-row", DependencySet());
   FlexibleRelation oracle = FlexibleRelation::Derived("ora", DependencySet());
@@ -1005,9 +1061,6 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
   PliCacheOptions adaptive_options;
   adaptive_options.drop_threshold = 128;
   adaptive.SetPliCacheOptions(adaptive_options);
-  PliCacheOptions reference_options = adaptive_options;
-  reference_options.arena_storage = false;
-  reference.SetPliCacheOptions(reference_options);
   PliCacheOptions pinned;
   pinned.batch_threshold = SIZE_MAX;
   pinned.drop_threshold = SIZE_MAX;
@@ -1015,19 +1068,19 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
   PliCacheOptions drop_everything;
   drop_everything.incremental = false;
   oracle.SetPliCacheOptions(drop_everything);
-  FlexibleRelation* rels[] = {&adaptive, &reference, &per_row, &oracle};
+  FlexibleRelation* rels[] = {&adaptive, &per_row, &oracle};
 
   SoakKeys keys;
   for (AttrId a : attrs) keys.partitions.push_back(AttrSet::Of(a));
   keys.partitions.push_back(AttrSet{attrs[0], attrs[2]});
-  keys.indexes = {attrs[1], attrs[3]};
+  keys.columns = {attrs[1], attrs[3]};
   auto touch = [&](FlexibleRelation* rel) {
     std::shared_ptr<PliCache> cache = rel->pli_cache();
     for (const AttrSet& k : keys.partitions) (void)cache->Get(k);
-    for (AttrId a : keys.indexes) (void)cache->IndexFor(a);
+    for (AttrId a : keys.columns) (void)cache->CodeColumnFor(a);
   };
 
-  // Identical instances: one draw per row, applied to all three.
+  // Identical instances: one draw per row, applied to every relation.
   for (int i = 0; i < 150; ++i) {
     Tuple t = RandomSoakTuple(attrs, &rng);
     for (FlexibleRelation* rel : rels) rel->InsertUnchecked(t);
@@ -1036,28 +1089,30 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
 
   auto assert_all_equal = [&](const std::string& context) {
     std::shared_ptr<PliCache> lhs = adaptive.pli_cache();
-    std::shared_ptr<PliCache> ref = reference.pli_cache();
     std::shared_ptr<PliCache> mid = per_row.pli_cache();
     std::shared_ptr<PliCache> rhs = oracle.pli_cache();
+    PliCache rebuild(&adaptive.rows());
     for (const AttrSet& k : keys.partitions) {
-      ASSERT_EQ(*lhs->Get(k), *ref->Get(k))
-          << context << " arena vs reference storage " << k.ToString();
+      ASSERT_EQ(*lhs->Get(k), *rebuild.Get(k))
+          << context << " adaptive vs rebuild " << k.ToString();
+      ASSERT_EQ(lhs->Get(k)->defined_rows(), rebuild.Get(k)->defined_rows())
+          << context << " " << k.ToString();
       ASSERT_EQ(*lhs->Get(k), *mid->Get(k))
           << context << " adaptive vs per-row " << k.ToString();
       ASSERT_EQ(*lhs->Get(k), *rhs->Get(k))
           << context << " adaptive vs oracle " << k.ToString();
       ASSERT_EQ(lhs->Get(k)->defined_rows(), rhs->Get(k)->defined_rows())
           << context << " " << k.ToString();
-      ASSERT_EQ(lhs->Get(k)->storage(), Pli::Storage::kArena) << context;
-      ASSERT_EQ(ref->Get(k)->storage(), Pli::Storage::kVectors) << context;
       std::string err;
       ASSERT_TRUE(lhs->Get(k)->CheckInvariants(&err)) << context << err;
-      ASSERT_TRUE(ref->Get(k)->CheckInvariants(&err)) << context << err;
+      ASSERT_TRUE(mid->Get(k)->CheckInvariants(&err)) << context << err;
     }
-    for (AttrId a : keys.indexes) {
-      ASSERT_EQ(*lhs->IndexFor(a), *ref->IndexFor(a)) << context;
-      ASSERT_EQ(*lhs->IndexFor(a), *mid->IndexFor(a)) << context;
-      ASSERT_EQ(*lhs->IndexFor(a), *rhs->IndexFor(a)) << context;
+    for (AttrId a : keys.columns) {
+      for (FlexibleRelation* rel : rels) {
+        ASSERT_NO_FATAL_FAILURE(VerifyColumnMatchesFreshBuild(
+            *rel->pli_cache()->CodeColumnFor(a), rel->rows(),
+            StrCat(context, " ", rel->name(), " column of attr ", a)));
+      }
     }
   };
   auto run_burst = [&](size_t burst, const std::string& context) {
@@ -1083,21 +1138,18 @@ TEST(EngineIncrementalSoak, AdaptivePolicyMatchesPerRowAndDropOracles) {
     size_t burst = round == 19 ? 64 : kBursts[rng.Index(3)];
     ASSERT_NO_FATAL_FAILURE(run_burst(burst, StrCat("round#", round)));
   }
-  // Deterministic closing bursts pin the arena-vs-reference equality on
-  // each of the three flush arms regardless of the draws above: a single
-  // update (per-row), a mid-size burst (batched window), and one crossing
-  // the lowered drop threshold (drop-everything).
+  // Deterministic closing bursts pin the rebuild equality on each of the
+  // three flush arms regardless of the draws above: a single update
+  // (per-row), a mid-size burst (batched window), and one crossing the
+  // lowered drop threshold (drop-everything).
   ASSERT_NO_FATAL_FAILURE(run_burst(1, "closing per-row burst"));
   ASSERT_NO_FATAL_FAILURE(run_burst(64, "closing batched burst"));
   ASSERT_NO_FATAL_FAILURE(run_burst(512, "closing drop burst"));
-  // The maintenance modes must actually have diverged in mechanism — and
-  // the reference-storage twin must have walked the same arms as the
-  // arena.
+  // The maintenance modes must actually have diverged in mechanism, and
+  // the adaptive cache must have walked every arm.
   EXPECT_GT(adaptive.pli_cache()->Stats().batch_applies, 0u);
   EXPECT_GT(adaptive.pli_cache()->Stats().full_drops, 0u);
-  EXPECT_GT(reference.pli_cache()->Stats().batch_applies, 0u);
-  EXPECT_GT(reference.pli_cache()->Stats().full_drops, 0u);
-  EXPECT_GT(reference.pli_cache()->Stats().patches, 0u);
+  EXPECT_GT(adaptive.pli_cache()->Stats().patches, 0u);
   EXPECT_EQ(per_row.pli_cache()->Stats().batch_applies, 0u);
   EXPECT_GT(per_row.pli_cache()->Stats().patches, 0u);
   EXPECT_EQ(oracle.pli_cache()->Stats().patches, 0u);

@@ -3,17 +3,22 @@
 // instances the discovery suites cross-validate on, the employee-workload
 // mutation step the eval and incremental soaks both drive, and the
 // planted-FD / Zipfian shapes the hybrid-discovery differential harness
-// sweeps. Everything is driven by an explicit Rng so suites stay
-// replayable through tests/test_seed.h.
+// sweeps, plus the code-column rebuild check the cache soaks share.
+// Everything is driven by an explicit Rng so suites stay replayable through
+// tests/test_seed.h.
 
 #ifndef FLEXREL_TESTS_ENGINE_TEST_UTIL_H_
 #define FLEXREL_TESTS_ENGINE_TEST_UTIL_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "core/dependency_set.h"
+#include "engine/dictionary.h"
 #include "relational/tuple.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -202,6 +207,40 @@ inline PlantedFdInstance MakePlantedFdInstance(Rng* rng, size_t num_rows,
     out.rows.push_back(std::move(t));
   }
   return out;
+}
+
+/// Asserts a cache-maintained code column describes `rows` exactly as a
+/// from-scratch CodeColumn::Build over them does. Codes themselves may
+/// differ (a maintained column's code space reflects its history), so the
+/// comparison is by decoded value: every row decodes to the same value (or
+/// is absent in both), every live value owns the same ascending bucket, and
+/// the defined-row and live-code counts agree.
+inline void VerifyColumnMatchesFreshBuild(const CodeColumn& column,
+                                          const std::vector<Tuple>& rows,
+                                          const std::string& context) {
+  const CodeColumn fresh = CodeColumn::Build(rows, column.attr());
+  std::string err;
+  ASSERT_TRUE(column.CheckInvariants(&err)) << context << ": " << err;
+  ASSERT_EQ(column.num_rows(), fresh.num_rows()) << context;
+  EXPECT_EQ(column.defined(), fresh.defined()) << context;
+  EXPECT_EQ(column.live_codes(), fresh.live_codes()) << context;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    const CodeColumn::Code mine = column.codes()[r];
+    const CodeColumn::Code theirs = fresh.codes()[r];
+    ASSERT_EQ(mine == CodeColumn::kMissingCode,
+              theirs == CodeColumn::kMissingCode)
+        << context << " presence of row " << r;
+    if (theirs == CodeColumn::kMissingCode) continue;
+    ASSERT_EQ(column.ValueOf(mine), fresh.ValueOf(theirs))
+        << context << " value of row " << r;
+  }
+  for (CodeColumn::Code c = 0; c < fresh.code_bound(); ++c) {
+    if (fresh.Bucket(c).empty()) continue;
+    const CodeColumn::Code mine = column.CodeOf(fresh.ValueOf(c));
+    ASSERT_NE(mine, CodeColumn::kMissingCode) << context << " code " << c;
+    EXPECT_EQ(column.Bucket(mine), fresh.Bucket(c))
+        << context << " bucket of code " << c;
+  }
 }
 
 }  // namespace testutil
