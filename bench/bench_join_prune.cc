@@ -158,6 +158,27 @@ void BM_OptimizePlanCost(benchmark::State& state) {
 }
 BENCHMARK(BM_OptimizePlanCost)->Arg(3)->Arg(16)->Arg(64);
 
+// The same restore-shaped plan over 4 variants, swept over the row count.
+// The rewrite reads each scan's guaranteed and possible attributes from the
+// relation's maintained statistics, so its cost must not grow with the rows
+// (the perf smoke gates the 20k/1k ratio).
+void BM_OptimizePlanRows(benchmark::State& state) {
+  PruneSetup s = MakeSetup(4, static_cast<size_t>(state.range(0)));
+  std::vector<PlanPtr> branches;
+  for (auto& fr : s.variant_frs) {
+    branches.push_back(
+        Plan::NaturalJoin(Plan::Scan(&s.master_fr), Plan::Scan(&fr)));
+  }
+  PlanPtr naive = Plan::Select(Plan::OuterUnion(std::move(branches)),
+                               s.selection);
+  for (auto _ : state) {
+    PlanPtr optimized = OptimizePlan(naive, {s.w->eads[0]});
+    benchmark::DoNotOptimize(optimized);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_OptimizePlanRows)->ArgName("rows")->Arg(1000)->Arg(20000);
+
 // --- Naive vs PLI join (the evaluator's accelerated path) -----------------
 //
 // A flat people ⋈ bonus join sharing one attribute (id). The naive path

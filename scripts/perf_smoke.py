@@ -21,7 +21,11 @@ hard-fails on any inversion:
   * the lock-free COW snapshot read path (PliCacheOptions::cow_reads)
     losing to the locked in-place baseline under one concurrent writer,
     at any point of the 1/4/8-reader sweep (the 0- and 4-writer cells run
-    for the artifact record).
+    for the artifact record);
+  * the optimizer scaling with the relation: OptimizePlan on the
+    restore-shaped plan at 20k rows taking more than 2x its time at 1k
+    rows (BM_OptimizePlanRows) — the per-scan attribute statistics are
+    maintained, so the rewrite must cost the same at any row count.
 
 Each run also enables the engine telemetry plane (--metrics_json=PATH, see
 src/telemetry/) and writes the per-binary metrics dump into the out dir
@@ -152,7 +156,21 @@ RUNS = [
         "perf_smoke_discovery_levelwise.json",
         "perf_smoke_discovery_levelwise_metrics.json",
     ),
+    # The optimizer on the restore-shaped plan at 1k and 20k rows: its
+    # per-scan statistics are maintained, so the rewrite must not scale
+    # with the relation (OPTIMIZE_ROWS_MAX_RATIO below).
+    (
+        "bench_join_prune",
+        "BM_OptimizePlanRows/rows:",
+        "perf_smoke_optimize_rows.json",
+        "perf_smoke_optimize_rows_metrics.json",
+    ),
 ]
+
+# The 20k-row optimize may take at most this multiple of the 1k-row one. A
+# rewrite that walks the rows lands near the 20x row ratio; one that reads
+# the maintained statistics stays near 1x.
+OPTIMIZE_ROWS_MAX_RATIO = 2.0
 
 # Hard wall-clock ceiling per benchmark invocation, enforced twice: the
 # binary's own --wall_timeout_s watchdog (exits 124 with a message naming
@@ -238,6 +256,20 @@ def expect_faster(times, fast, slow, failures):
           f"{slow}: {times[slow] / 1e3:9.1f} us  -> {ratio:5.2f}x  {verdict}")
     if ratio < 1.0:
         failures.append(f"{fast} is slower than {slow} ({ratio:.2f}x)")
+
+
+def expect_within(times, small, large, max_ratio, failures):
+    if small not in times or large not in times:
+        failures.append(f"missing benchmark: {small} vs {large}")
+        return
+    ratio = times[large] / times[small]
+    verdict = "OK" if ratio <= max_ratio else "SCALES"
+    print(f"  {large}: {times[large] / 1e3:9.1f} us  vs  "
+          f"{small}: {times[small] / 1e3:9.1f} us  -> {ratio:5.2f}x "
+          f"(max {max_ratio:.1f}x)  {verdict}")
+    if ratio > max_ratio:
+        failures.append(f"{large} is {ratio:.2f}x {small} "
+                        f"(max {max_ratio:.1f}x)")
 
 
 def load_counters(out_dir, metrics_name, failures):
@@ -527,6 +559,16 @@ def main():
             f"/threads:{threads}",
             failures,
         )
+
+    print("optimizer cost independent of the row count "
+          "(restore-shaped plan, 1k vs 20k rows):")
+    expect_within(
+        times,
+        "BM_OptimizePlanRows/rows:1000",
+        "BM_OptimizePlanRows/rows:20000",
+        OPTIMIZE_ROWS_MAX_RATIO,
+        failures,
+    )
 
     check_metric_invariants(args.out_dir, failures)
     check_trajectory(times, args.baseline_dir, failures)

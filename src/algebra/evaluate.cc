@@ -137,6 +137,7 @@ class Evaluator {
 
   Result<FlexibleRelation> SelectViaIndex(const Plan& plan,
                                           ExplainNode* node);
+  FlexibleRelation SelectOverScan(const Plan& plan);
   Result<FlexibleRelation> EvalMultiwayOrdered(const Plan& plan,
                                                ExplainNode* node);
 
@@ -459,6 +460,27 @@ Result<FlexibleRelation> Evaluator::SelectViaIndex(const Plan& plan,
   return out;
 }
 
+// Any other selection directly over a base scan: the formula runs over the
+// scanned relation's rows in place, so only the accepted rows are copied —
+// the naive path first materializes the whole scan. Same rows, same order,
+// same name and dependencies as the naive path's select-over-scan.
+FlexibleRelation Evaluator::SelectOverScan(const Plan& plan) {
+  const FlexibleRelation* src = plan.inputs()[0]->relation();
+  FlexibleRelation out = FlexibleRelation::Derived(
+      StrCat("sel(", src->name(), ")"), PropagateSelect(src->deps()));
+  size_t emitted = 0;
+  for (const Tuple& t : src->rows()) {
+    if (plan.formula()->Accepts(t)) {
+      out.InsertUnchecked(t);
+      ++emitted;
+    }
+  }
+  CountScanned(src->size());
+  CountPredicateEvals(src->size());
+  CountEmitted(emitted);
+  return out;
+}
+
 size_t Evaluator::DistinctOn(const FlexibleRelation& rel,
                              const AttrSet& attrs) {
   if (attrs.empty() || rel.empty()) return 1;
@@ -581,12 +603,15 @@ Result<FlexibleRelation> Evaluator::EvalNode(const PlanPtr& plan,
       return out;
     }
     case PlanKind::kSelect: {
-      if (options_.use_engine && options_.use_cache &&
+      if (options_.use_engine &&
           plan->inputs()[0]->kind() == PlanKind::kScan &&
-          plan->inputs()[0]->relation() != nullptr &&
-          IsIndexableSelect(*plan->formula())) {
-        if (node != nullptr) node->op = "select[index]";
-        return SelectViaIndex(*plan, node);
+          plan->inputs()[0]->relation() != nullptr) {
+        if (options_.use_cache && IsIndexableSelect(*plan->formula())) {
+          if (node != nullptr) node->op = "select[index]";
+          return SelectViaIndex(*plan, node);
+        }
+        if (node != nullptr) node->op = "select[scan]";
+        return SelectOverScan(*plan);
       }
       if (node != nullptr) node->op = "select";
       FLEXREL_ASSIGN_OR_RETURN(FlexibleRelation in,

@@ -15,12 +15,14 @@
 //  - The *engine* path reads the partition engine (src/engine/). Equality
 //    selections over base scans resolve via the scanned relation's attached
 //    PliCache code column instead of evaluating the predicate per tuple;
-//    natural joins bucket the build side by shared-attribute signature and
-//    probe only cluster-compatible pairs, comparing per-join code
-//    signatures; multiway joins order their legs by
-//    PLI-derived cluster-count estimates, smallest expected intermediate
-//    first. Results — rows and propagated dependencies — are identical to
-//    the naive path; only the EvalStats work counters shrink.
+//    every other selection over a base scan filters the scanned rows in
+//    place instead of first copying the whole relation; natural joins
+//    bucket the build side by shared-attribute signature and probe only
+//    cluster-compatible pairs, comparing per-join code signatures;
+//    multiway joins order their legs by PLI-derived cluster-count
+//    estimates, smallest expected intermediate first. Results — rows and
+//    propagated dependencies — are identical to the naive path; only the
+//    EvalStats work counters shrink.
 
 #ifndef FLEXREL_ALGEBRA_EVALUATE_H_
 #define FLEXREL_ALGEBRA_EVALUATE_H_
@@ -54,6 +56,14 @@ std::vector<Pli::RowId> CodedMatches(const CodeColumn& column,
 /// Work counters, reported for the optimizer experiments (E4/E5): comparing
 /// an optimized against an unoptimized plan is a statement about these
 /// numbers, not only wall-clock time.
+///
+/// A select directly over a scan counts differently per path. The naive
+/// path materializes the scan (scanned n, emitted n), then evaluates the
+/// formula on every tuple (predicate_evals n, emitted += matches). The
+/// engine's in-place select reads the n scanned rows once and emits only
+/// the matches (scanned n, predicate_evals n, emitted = matches); its
+/// indexed select reads only the matching rows (scanned = emitted =
+/// matches, no predicate evaluations).
 struct EvalStats {
   size_t tuples_scanned = 0;      ///< tuples read from scans
   size_t tuples_emitted = 0;      ///< tuples produced by plan operators

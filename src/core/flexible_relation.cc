@@ -15,12 +15,14 @@ namespace flexrel {
 // The special members exist to pin down one fact: the partition cache never
 // travels with the relation. It holds a pointer to this object's row vector,
 // so a copy's or move-target's rows live elsewhere; both start cache-less
-// and rebuild lazily.
+// and rebuild lazily. The attribute counts travel with the rows, and a
+// moved-from relation is left empty so its counts stay exact.
 FlexibleRelation::FlexibleRelation(const FlexibleRelation& other)
     : name_(other.name_),
       checker_(other.checker_),
       deps_(other.deps_),
       rows_(other.rows_),
+      attr_counts_(other.attr_counts_),
       pli_options_(other.pli_options_) {}
 
 FlexibleRelation::FlexibleRelation(FlexibleRelation&& other) noexcept
@@ -28,6 +30,7 @@ FlexibleRelation::FlexibleRelation(FlexibleRelation&& other) noexcept
       checker_(std::move(other.checker_)),
       deps_(std::move(other.deps_)),
       rows_(std::move(other.rows_)),
+      attr_counts_(std::move(other.attr_counts_)),
       pli_options_(other.pli_options_) {
   other.InvalidateCache();
 }
@@ -38,6 +41,7 @@ FlexibleRelation& FlexibleRelation::operator=(const FlexibleRelation& other) {
     checker_ = other.checker_;
     deps_ = other.deps_;
     rows_ = other.rows_;
+    attr_counts_ = other.attr_counts_;
     pli_options_ = other.pli_options_;
     InvalidateCache();
   }
@@ -51,7 +55,10 @@ FlexibleRelation& FlexibleRelation::operator=(
     checker_ = std::move(other.checker_);
     deps_ = std::move(other.deps_);
     rows_ = std::move(other.rows_);
+    attr_counts_ = std::move(other.attr_counts_);
     pli_options_ = other.pli_options_;
+    other.rows_.clear();  // a vector move-assign leaves the source unspecified
+    other.attr_counts_.clear();
     InvalidateCache();
     other.InvalidateCache();
   }
@@ -168,13 +175,50 @@ Status FlexibleRelation::Insert(const Tuple& t) {
         StrCat("duplicate tuple rejected by set semantics of ", name_));
   }
   rows_.push_back(t);
+  AddAttrCounts(rows_.back());
   NotifyInsert();
   return Status::OK();
 }
 
 void FlexibleRelation::InsertUnchecked(Tuple t) {
   rows_.push_back(std::move(t));
+  AddAttrCounts(rows_.back());
   NotifyInsert();
+}
+
+namespace {
+
+bool CountBefore(const std::pair<AttrId, size_t>& count, AttrId attr) {
+  return count.first < attr;
+}
+
+}  // namespace
+
+void FlexibleRelation::AddAttrCounts(const Tuple& t) {
+  // Fields and counts are both sorted by attribute, so one forward pass
+  // places every field; homogeneous rows never insert.
+  auto it = attr_counts_.begin();
+  for (const auto& field : t.fields()) {
+    it = std::lower_bound(it, attr_counts_.end(), field.first, CountBefore);
+    if (it == attr_counts_.end() || it->first != field.first) {
+      it = attr_counts_.insert(it, {field.first, 0});
+    }
+    ++it->second;
+    ++it;
+  }
+}
+
+void FlexibleRelation::RemoveAttrCounts(const Tuple& t) {
+  // `t` was counted when it entered rows_, so every field has a slot.
+  auto it = attr_counts_.begin();
+  for (const auto& field : t.fields()) {
+    it = std::lower_bound(it, attr_counts_.end(), field.first, CountBefore);
+    if (--it->second == 0) {
+      it = attr_counts_.erase(it);
+    } else {
+      ++it;
+    }
+  }
 }
 
 Result<TypeChecker::TypeDelta> FlexibleRelation::PrepareUpdate(
@@ -219,6 +263,8 @@ Result<TypeChecker::TypeDelta> FlexibleRelation::Update(size_t index,
       PrepareUpdate(rows_[index], attr, std::move(value), fill, &updated));
   Tuple previous = std::move(rows_[index]);
   rows_[index] = std::move(updated);
+  AddAttrCounts(rows_[index]);
+  RemoveAttrCounts(previous);
   NotifyUpdate(index, std::move(previous));
   return delta;
 }
@@ -332,12 +378,17 @@ Status FlexibleRelation::ApplyBatchImpl(
   // buffered batch.
   const size_t insert_count = staged_inserts.size();
   rows_.reserve(base + insert_count);
-  for (Tuple& t : staged_inserts) rows_.push_back(std::move(t));
+  for (Tuple& t : staged_inserts) {
+    rows_.push_back(std::move(t));
+    AddAttrCounts(rows_.back());
+  }
   std::vector<std::pair<size_t, Tuple>> old_rows;
   old_rows.reserve(staged_updates.size());
   for (auto& [index, staged] : staged_updates) {
     old_rows.emplace_back(index, std::move(rows_[index]));
     rows_[index] = std::move(staged);
+    AddAttrCounts(rows_[index]);
+    RemoveAttrCounts(old_rows.back().second);
   }
   NotifyBatch(base, insert_count, std::move(old_rows));
   return Status::OK();
@@ -360,7 +411,10 @@ void FlexibleRelation::InsertRowsUnchecked(std::vector<Tuple> rows) {
   FLEXREL_TELEMETRY_COUNT("core.relation.batch_ops", rows.size());
   const size_t base = rows_.size();
   rows_.reserve(base + rows.size());
-  for (Tuple& t : rows) rows_.push_back(std::move(t));
+  for (Tuple& t : rows) {
+    rows_.push_back(std::move(t));
+    AddAttrCounts(rows_.back());
+  }
   NotifyBatch(base, rows_.size() - base, {});
 }
 
@@ -385,6 +439,8 @@ Result<std::vector<TypeChecker::TypeDelta>> FlexibleRelation::UpdateRows(
     for (UpdateSpec& u : updates) {
       old_rows.emplace_back(u.index, rows_[u.index]);
       rows_[u.index].Set(u.attr, std::move(u.value));
+      AddAttrCounts(rows_[u.index]);
+      RemoveAttrCounts(old_rows.back().second);
     }
     NotifyBatch(rows_.size(), 0, std::move(old_rows));
     return std::vector<TypeChecker::TypeDelta>(updates.size());
@@ -408,9 +464,18 @@ bool FlexibleRelation::AuditDeclaredDeps() const {
 }
 
 AttrSet FlexibleRelation::ActiveAttrs() const {
-  AttrSet all;
-  for (const Tuple& t : rows_) all = all.Union(t.attrs());
-  return all;
+  std::vector<AttrId> ids;
+  ids.reserve(attr_counts_.size());
+  for (const auto& [attr, count] : attr_counts_) ids.push_back(attr);
+  return AttrSet::FromIds(std::move(ids));
+}
+
+AttrSet FlexibleRelation::CommonAttrs() const {
+  std::vector<AttrId> ids;
+  for (const auto& [attr, count] : attr_counts_) {
+    if (count == rows_.size()) ids.push_back(attr);
+  }
+  return AttrSet::FromIds(std::move(ids));
 }
 
 std::string FlexibleRelation::ToString(const AttrCatalog& catalog) const {

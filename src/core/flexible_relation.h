@@ -142,7 +142,21 @@ class FlexibleRelation {
   const Tuple& row(size_t i) const { return rows_[i]; }
 
   /// All attributes appearing in any row.
+  ///
+  /// ActiveAttrs() and CommonAttrs() answer from a maintained statistic,
+  /// the number of rows carrying each attribute, so they cost
+  /// O(|attributes|) and never walk the rows. Every mutation entry point
+  /// keeps the counts exact: Insert, InsertUnchecked, Update (footnote-3
+  /// type changes included), the ApplyBatch commit (InsertRows, and
+  /// UpdateRows with a checker), InsertRowsUnchecked and the checker-less
+  /// UpdateRows. A failed batch leaves them untouched; copies carry them,
+  /// and a moved-from relation is left empty with empty counts.
   AttrSet ActiveAttrs() const;
+
+  /// The attributes every row carries (empty for an empty relation): the
+  /// per-relation statistic the optimizer's GuaranteedAttrs reads for a
+  /// scan (optimizer/plan_rewrite.h).
+  AttrSet CommonAttrs() const;
 
   /// True iff every declared dependency holds across the instance
   /// (instance-level audit; per-tuple EAD checks happen on insert).
@@ -228,6 +242,12 @@ class FlexibleRelation {
   void NotifyBatch(size_t first_inserted, size_t insert_count,
                    std::vector<std::pair<size_t, Tuple>> old_rows);
 
+  /// Attribute-presence bookkeeping: count every attribute of `t` as
+  /// carried by one more (AddAttrCounts) or one fewer (RemoveAttrCounts)
+  /// row. Called with each row's state as it enters or leaves rows_.
+  void AddAttrCounts(const Tuple& t);
+  void RemoveAttrCounts(const Tuple& t);
+
   /// The shared validation half of Update/ApplyBatch: computes the updated
   /// state of `current` (footnote-3 delta applied, `fill` consulted,
   /// checker consulted) into `out` without touching the instance.
@@ -245,6 +265,8 @@ class FlexibleRelation {
   std::shared_ptr<const TypeChecker> checker_;  // null for derived relations
   DependencySet deps_;
   std::vector<Tuple> rows_;
+  // (attribute, rows carrying it), sorted by attribute; counts are > 0.
+  std::vector<std::pair<AttrId, size_t>> attr_counts_;
   PliCacheOptions pli_options_;
   mutable std::mutex pli_mu_;  // guards lazy creation of pli_cache_
   mutable std::shared_ptr<PliCache> pli_cache_;

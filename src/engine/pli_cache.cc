@@ -916,8 +916,9 @@ void PliCache::PublishLocked(bool flush_publish) {
   FLEXREL_TELEMETRY_GAUGE_SET("engine.pli_cache.epoch", epoch_);
   // Writer side of the two-slot protocol (see snapshot_slots_ in the
   // header): rebuild the spare slot once its reader pins drain, then flip
-  // the index. mu_ serializes publishers, so the relaxed self-load of
-  // snapshot_cur_ is exact.
+  // the index, then release the superseded slot once its pins drain too.
+  // mu_ serializes publishers, so the relaxed self-load of snapshot_cur_ is
+  // exact.
   const uint32_t spare = snapshot_cur_.load(std::memory_order_relaxed) ^ 1u;
   SnapshotSlot& slot = snapshot_slots_[spare];
   while (!slot.Drained()) {
@@ -926,6 +927,9 @@ void PliCache::PublishLocked(bool flush_publish) {
   }
   slot.snap = std::move(snap);
   snapshot_cur_.store(spare);
+  SnapshotSlot& superseded = snapshot_slots_[spare ^ 1u];
+  while (!superseded.Drained()) std::this_thread::yield();
+  superseded.snap.reset();
 }
 
 void PliCache::EnsureFlushIndexesLocked(const std::vector<NetDelta>& net,

@@ -314,7 +314,8 @@ class PliCache {
   PliPtr BuildFor(const AttrSet& attrs);
 
   /// Rebuilds the snapshot table from the live maps and swaps it in with
-  /// one release-store, releasing the superseded table in the spare slot.
+  /// one store, then releases the superseded table once its reader pins
+  /// drain (structures no reader holds are freed by this publish).
   /// `flush_publish` distinguishes the flush-driven swaps (the publishes ==
   /// flushes identity, timed as engine.pli_cache.flush.publish_ns) from
   /// build-driven refreshes (a miss adding a fresh entry). Never touches
@@ -509,8 +510,11 @@ class PliCache {
   /// retry), copy the shared_ptr, unpin. The single writer (under mu_)
   /// overwrites only the spare slot, and only after its pin count drains
   /// to zero; the store of snapshot_cur_ then publishes the new snapshot.
-  /// Readers pin for a shared_ptr copy only, so the writer's drain wait is
-  /// bounded and tiny.
+  /// The writer then drains the superseded slot's pins the same way and
+  /// resets its snap, so the previous epoch's table is released at this
+  /// publish rather than held until the next one overwrites the slot.
+  /// Readers pin for a shared_ptr copy only, so the writer's drain waits
+  /// are bounded and tiny.
   ///
   /// The index and pin-count operations are seq_cst on purpose: with only
   /// acquire/release, the reader's re-check load may legally re-read the
@@ -520,7 +524,10 @@ class PliCache {
   /// single seq_cst total order forbids exactly that: a drain that missed
   /// the pin orders the earlier flip before the re-check, so the re-check
   /// reads either that flip (mismatch → retry) or a later flip of the same
-  /// slot (whose release edge makes the rebuilt snap visible). On x86 the
+  /// slot (whose release edge makes the rebuilt snap visible). The same
+  /// argument covers the post-flip release of the superseded slot: a pin
+  /// its drain missed re-checks against the flip just stored, mismatches,
+  /// and retries, so no reader ever dereferences the reset slot. On x86 the
   /// upgrade is free — seq_cst loads are plain movs, RMWs lock-prefixed
   /// either way.
   /// The pin count is striped across cachelines (readers pick a stripe by

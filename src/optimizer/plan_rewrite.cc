@@ -62,18 +62,11 @@ size_t EstimateRows(const PlanPtr& plan) {
 
 AttrSet GuaranteedAttrs(const PlanPtr& plan) {
   switch (plan->kind()) {
-    case PlanKind::kScan: {
-      const FlexibleRelation* r = plan->relation();
-      if (r == nullptr || r->empty()) return AttrSet();
-      // The attributes common to every stored tuple — the per-relation
-      // statistic a catalog would maintain incrementally.
-      AttrSet common = r->row(0).attrs();
-      for (const Tuple& t : r->rows()) {
-        common = common.Intersect(t.attrs());
-        if (common.empty()) break;
-      }
-      return common;
-    }
+    case PlanKind::kScan:
+      // The attributes common to every stored tuple — the relation's
+      // maintained attribute-presence statistic, O(|attributes|).
+      return plan->relation() != nullptr ? plan->relation()->CommonAttrs()
+                                         : AttrSet();
     case PlanKind::kSelect: {
       // The selection's own constraints additionally guarantee the
       // attributes they read (comparisons need definedness to be true).

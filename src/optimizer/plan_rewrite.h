@@ -14,8 +14,11 @@
 //      constraints, the branch is provably empty and is replaced by Empty().
 //
 // Guaranteed attributes are derived structurally (joins accumulate them,
-// unions intersect them, scans report the attributes common to all rows —
-// the catalog statistic a real system would maintain).
+// unions intersect them, scans report the attributes common to all rows).
+// A scan's guaranteed and possible attributes come from the statistic every
+// FlexibleRelation maintains under mutation — a per-attribute count of the
+// rows carrying it (FlexibleRelation::CommonAttrs / ActiveAttrs) — so they
+// cost O(|attributes|) per scan, independent of the row count.
 
 #ifndef FLEXREL_OPTIMIZER_PLAN_REWRITE_H_
 #define FLEXREL_OPTIMIZER_PLAN_REWRITE_H_

@@ -380,5 +380,35 @@ TEST(EngineConcurrencySoak, HeldSnapshotStructuresAreFrozenAcrossEpochs) {
                                           "re-read column");
 }
 
+// A publish releases the epoch it supersedes: once no reader holds them,
+// the structures a flush replaced are freed by that flush's publish, not
+// kept alive in the spare slot until the next one.
+TEST(EngineConcurrencySoak, SupersededSnapshotIsReleasedAtPublish) {
+  AttrCatalog catalog;
+  AttrId a = catalog.Intern("a");
+  FlexibleRelation rel = FlexibleRelation::Derived("release", DependencySet());
+  for (int i = 0; i < 8; ++i) {
+    Tuple t;
+    t.Set(a, Value::Int(i % 2));
+    rel.InsertUnchecked(t);
+  }
+  std::shared_ptr<PliCache> cache = rel.pli_cache();
+  std::weak_ptr<const CodeColumn> old_column = cache->CodeColumnFor(a);
+  std::weak_ptr<const Pli> old_partition = cache->Get(AttrSet::Of(a));
+  ASSERT_FALSE(old_column.expired());  // the published snapshot holds it
+  const uint64_t epoch_before = cache->SnapshotEpoch();
+
+  ASSERT_TRUE(rel.Update(0, a, Value::Int(41)).ok());
+
+  EXPECT_GT(cache->SnapshotEpoch(), epoch_before);
+  EXPECT_TRUE(old_column.expired())
+      << "the superseded code column outlived the publish that replaced it";
+  EXPECT_TRUE(old_partition.expired())
+      << "the superseded partition outlived the publish that replaced it";
+  EXPECT_TRUE(cache->SnapshotPinsDrained());
+  testutil::VerifyColumnMatchesFreshBuild(*cache->CodeColumnFor(a), rel.rows(),
+                                          "successor column");
+}
+
 }  // namespace
 }  // namespace flexrel

@@ -366,6 +366,54 @@ TEST_F(EngineEvalStatsTest, SelectCountsExactlyAndEngineSkipsPredicates) {
   EXPECT_EQ(engine.tuples_emitted, 1u);
 }
 
+// The engine's non-indexable select over a scan filters the scanned rows
+// in place; it must return the naive path's rows in the naive path's order
+// (not just as a set), under the same name and dependencies, with or
+// without the cache, and count one read and one test per scanned row.
+TEST(EngineEvalSelectTest, InPlaceSelectOverScanMatchesNaiveRowOrder) {
+  auto made = MakeEmployeeWorkload(SoakEmployeeConfig(17, 400));
+  ASSERT_TRUE(made.ok()) << made.status();
+  const EmployeeWorkload& w = *made.value();
+  const AttrId variant_attr = *w.eads[0].variants()[0].then.begin();
+  const std::vector<ExprPtr> formulas = {
+      Expr::Compare(w.id_attr, CmpOp::kLt, Value::Int(150)),
+      Expr::Or(Expr::Compare(w.id_attr, CmpOp::kGe, Value::Int(300)),
+               Expr::Exists(variant_attr)),
+      Expr::And(Expr::Eq(w.jobtype_attr, w.jobtype_values[1]),
+                Expr::Not(Expr::Compare(w.id_attr, CmpOp::kLt,
+                                        Value::Int(200))))};
+  const size_t n = w.relation.size();
+  for (size_t f = 0; f < formulas.size(); ++f) {
+    SCOPED_TRACE(StrCat("formula #", f));
+    PlanPtr plan = Plan::Select(Plan::Scan(&w.relation), formulas[f]);
+    EvalStats naive_stats;
+    auto naive = Evaluate(plan, NaiveOptions(), &naive_stats);
+    ASSERT_TRUE(naive.ok()) << naive.status();
+    const size_t matched = naive.value().size();
+    ASSERT_GT(matched, 0u);
+    ASSERT_LT(matched, n);
+    EXPECT_EQ(naive_stats.tuples_emitted, n + matched);
+
+    for (const EvalOptions& options : {EvalOptions(), EngineNoCacheOptions()}) {
+      EvalStats stats;
+      auto engine = Evaluate(plan, options, &stats);
+      ASSERT_TRUE(engine.ok()) << engine.status();
+      EXPECT_EQ(engine.value().rows(), naive.value().rows());
+      EXPECT_EQ(engine.value().name(), naive.value().name());
+      EXPECT_EQ(engine.value().deps().ads(), naive.value().deps().ads());
+      EXPECT_EQ(engine.value().deps().fds(), naive.value().deps().fds());
+      EXPECT_EQ(stats.tuples_scanned, n);
+      EXPECT_EQ(stats.predicate_evals, n);
+      EXPECT_EQ(stats.tuples_emitted, matched);
+    }
+    auto report = Explain(plan);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report.value().root.op, "select[scan]");
+    EXPECT_EQ(report.value().root.actual_rows, matched);
+    EXPECT_TRUE(report.value().root.children.empty());
+  }
+}
+
 TEST_F(EngineEvalStatsTest, ProjectAndUnionCountExactly) {
   EvalStats proj = NaiveStats(
       Plan::Project(Plan::Scan(&ex_->relation), AttrSet{ex_->jobtype}));

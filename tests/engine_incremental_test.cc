@@ -34,6 +34,7 @@ namespace flexrel {
 namespace {
 
 using testutil::ApplyRandomEmployeeMutation;
+using testutil::ExpectAttrStatsMatchRows;
 using testutil::RandomSoakTuple;
 using testutil::RandomSoakValue;
 using testutil::SoakEmployeeConfig;
@@ -975,6 +976,10 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
     warm();  // reads flush the buffered burst through the adaptive policy
     ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(
         rel, keys, StrCat("burst round#", round, " [", what, "]")));
+    {
+      SCOPED_TRACE(StrCat("attr stats, burst round#", round, " [", what, "]"));
+      ExpectAttrStatsMatchRows(rel);
+    }
   }
   // Deterministic closing bursts so all three flush arms are exercised
   // regardless of the draw sequence above: a single update (per-row), a
@@ -982,12 +987,15 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   ASSERT_TRUE(rel.UpdateRows(random_update_burst(1)).ok());
   warm();
   ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "final 1 burst"));
+  ExpectAttrStatsMatchRows(rel);
   ASSERT_TRUE(rel.UpdateRows(random_update_burst(48)).ok());
   warm();
   ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "final 48 burst"));
+  ExpectAttrStatsMatchRows(rel);
   ASSERT_TRUE(rel.UpdateRows(random_update_burst(512)).ok());
   warm();
   ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "final 512 burst"));
+  ExpectAttrStatsMatchRows(rel);
   EXPECT_GT(cache->Stats().patches, 0u) << "per-row path never ran";
   EXPECT_GT(cache->Stats().batch_applies, 0u) << "batched path never ran";
   EXPECT_GT(cache->Stats().full_drops, 0u) << "drop-everything path never ran";

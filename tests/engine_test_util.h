@@ -3,7 +3,8 @@
 // instances the discovery suites cross-validate on, the employee-workload
 // mutation step the eval and incremental soaks both drive, and the
 // planted-FD / Zipfian shapes the hybrid-discovery differential harness
-// sweeps, plus the code-column rebuild check the cache soaks share.
+// sweeps, plus the code-column rebuild check the cache soaks share and the
+// row-walk check of a relation's attribute-presence statistics.
 // Everything is driven by an explicit Rng so suites stay replayable through
 // tests/test_seed.h.
 
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "core/dependency_set.h"
+#include "core/flexible_relation.h"
 #include "engine/dictionary.h"
 #include "relational/tuple.h"
 #include "util/rng.h"
@@ -241,6 +243,21 @@ inline void VerifyColumnMatchesFreshBuild(const CodeColumn& column,
     EXPECT_EQ(column.Bucket(mine), fresh.Bucket(c))
         << context << " bucket of code " << c;
   }
+}
+
+/// Asserts a relation's maintained attribute-presence statistics —
+/// ActiveAttrs() and CommonAttrs() — equal what a walk over its rows
+/// computes: the union and the intersection of every row's attributes.
+inline void ExpectAttrStatsMatchRows(const FlexibleRelation& rel) {
+  AttrSet active;
+  AttrSet common;
+  for (size_t i = 0; i < rel.size(); ++i) {
+    const AttrSet attrs = rel.row(i).attrs();
+    active = active.Union(attrs);
+    common = i == 0 ? attrs : common.Intersect(attrs);
+  }
+  EXPECT_EQ(rel.ActiveAttrs(), active);
+  EXPECT_EQ(rel.CommonAttrs(), common);
 }
 
 }  // namespace testutil

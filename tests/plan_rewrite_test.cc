@@ -7,6 +7,7 @@
 #include "algebra/evaluate.h"
 #include "decomposition/decomposition.h"
 #include "workload/generator.h"
+#include "workload/paper_examples.h"
 
 namespace flexrel {
 namespace {
@@ -244,6 +245,41 @@ TEST_F(PlanRewriteTest, MultiwayJoinLegsOrderedSmallestEstimateFirst) {
   OptimizePlan(Plan::MultiwayJoin({selective, Plan::Scan(&master_)}),
                w_->eads, &noop);
   EXPECT_EQ(noop.joins_reordered, 0u);
+}
+
+// A scan's guarantee is the relation's maintained statistic, so it follows
+// a footnote-3 type change at once — and with it the variant pruning,
+// which a stale guarantee would turn unsound.
+TEST(PlanRewriteStatsTest, GuaranteedAttrsFollowTypeChangingUpdate) {
+  auto made = MakeJobtypeExample();
+  ASSERT_TRUE(made.ok()) << made.status();
+  const JobtypeExample& ex = *made.value();
+  FlexibleRelation rel = FlexibleRelation::Base(
+      "salesmen", &ex.catalog, ex.scheme, {ex.ead}, ex.domains);
+  ASSERT_TRUE(rel.Insert(ex.MakeSalesman(1000, 10)).ok());
+  ASSERT_TRUE(rel.Insert(ex.MakeSalesman(2000, 20)).ok());
+  PlanPtr scan = Plan::Scan(&rel);
+  PlanPtr secretaries =
+      Plan::Select(scan, Expr::Eq(ex.jobtype, Value::Str("secretary")));
+  EXPECT_TRUE(GuaranteedAttrs(scan).Contains(ex.sales_commission));
+  EXPECT_FALSE(PossibleAttrs(scan).Contains(ex.typing_speed));
+  // Every stored tuple carries sales_commission, which the EAD forbids for
+  // secretaries: the selection is provably empty.
+  EXPECT_EQ(OptimizePlan(secretaries, {ex.ead})->kind(), PlanKind::kEmpty);
+
+  Tuple fill;
+  fill.Set(ex.typing_speed, Value::Int(120));
+  fill.Set(ex.foreign_languages, Value::Str("german"));
+  ASSERT_TRUE(rel.Update(1, ex.jobtype, Value::Str("secretary"), fill).ok());
+  EXPECT_EQ(GuaranteedAttrs(scan), (AttrSet{ex.salary, ex.jobtype}));
+  EXPECT_TRUE(PossibleAttrs(scan).Contains(ex.typing_speed));
+  RewriteReport report;
+  PlanPtr optimized = OptimizePlan(secretaries, {ex.ead}, &report);
+  EXPECT_EQ(report.branches_pruned, 0u);
+  auto out = Evaluate(optimized);
+  ASSERT_TRUE(out.ok()) << out.status();
+  ASSERT_EQ(out.value().size(), 1u);
+  EXPECT_EQ(out.value().row(0), rel.row(1));
 }
 
 // Property: optimized restore-and-select equals the unoptimized result for
