@@ -129,14 +129,17 @@ std::vector<Tuple> MakeWidePlanted(AttrId num_attrs, size_t num_rows,
   return rows;
 }
 
+// `num_threads` 0 is the shipped default (hardware concurrency).
 void RunWidePlantedDiscovery(benchmark::State& state,
-                             DiscoveryStrategy strategy) {
+                             DiscoveryStrategy strategy,
+                             size_t num_threads = 0) {
   AttrSet universe;
   std::vector<Tuple> rows =
       MakeWidePlanted(static_cast<AttrId>(state.range(0)), 2048, &universe);
   EngineDiscoveryOptions options;
   options.max_lhs_size = 2;
   options.strategy = strategy;
+  options.num_threads = num_threads;
   for (auto _ : state) {
     DependencySet deps = EngineDiscoverDependencies(rows, universe, options);
     benchmark::DoNotOptimize(deps);
@@ -158,6 +161,16 @@ void BM_DiscoveryArenaStorageWide(benchmark::State& state) {
   RunWidePlantedDiscovery(state, DiscoveryStrategy::kLevelWise);
 }
 BENCHMARK(BM_DiscoveryArenaStorageWide)->Arg(32)->Arg(64)
+    ->Unit(benchmark::kMillisecond);
+
+// The same level-wise walk pinned to one worker: the reference the
+// worker-scaling gate in scripts/perf_smoke.py holds the default pool to
+// (adding workers must not make discovery slower than one worker).
+void BM_DiscoveryArenaStorageWideOneWorker(benchmark::State& state) {
+  RunWidePlantedDiscovery(state, DiscoveryStrategy::kLevelWise,
+                          /*num_threads=*/1);
+}
+BENCHMARK(BM_DiscoveryArenaStorageWideOneWorker)->Arg(64)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <functional>
 #include <string>
 #include <utility>
 
@@ -30,24 +32,24 @@ size_t ChooseCapped(size_t m, size_t k, size_t cap) {
   return result < cap ? result : cap;
 }
 
-// Invokes fn(AttrSet) for every size-k subset of `ids` (sorted), in the
-// canonical combination order LatticeLevel uses.
-template <typename Fn>
-void ForEachSubset(const std::vector<AttrId>& ids, size_t k, const Fn& fn) {
-  if (k == 0 || k > ids.size()) return;
+// Invokes fn(subset) for every size-k subset of `items` (ascending), as
+// an ascending vector, in canonical combination order.
+template <typename T, typename Fn>
+void ForEachSubset(const std::vector<T>& items, size_t k, const Fn& fn) {
+  if (k == 0 || k > items.size()) return;
   std::vector<size_t> idx(k);
   for (size_t i = 0; i < k; ++i) idx[i] = i;
-  std::vector<AttrId> current;
+  std::vector<T> current;
   while (true) {
     current.clear();
-    for (size_t i : idx) current.push_back(ids[i]);
-    fn(AttrSet::FromIds(current));
+    for (size_t i : idx) current.push_back(items[i]);
+    fn(current);
     size_t i = k;
     while (i > 0) {
       --i;
-      if (idx[i] != i + ids.size() - k) break;
+      if (idx[i] != i + items.size() - k) break;
     }
-    if (idx[i] == i + ids.size() - k) break;
+    if (idx[i] == i + items.size() - k) break;
     ++idx[i];
     for (size_t j = i + 1; j < k; ++j) idx[j] = idx[j - 1] + 1;
   }
@@ -130,85 +132,152 @@ bool EvidenceStore::Add(const PairEvidence& e) {
   return inserted;
 }
 
-constexpr size_t kNoCandidate = static_cast<size_t>(-1);
-constexpr uint64_t PackPair(AttrId a, AttrId b) {
-  return (static_cast<uint64_t>(a) << 32) | b;
+namespace {
+
+constexpr uint32_t kNone = static_cast<uint32_t>(-1);
+constexpr size_t kWordBits = 64;
+
+void SetBit(uint64_t* mask, uint32_t position) {
+  mask[position / kWordBits] |= uint64_t{1} << (position % kWordBits);
+}
+
+}  // namespace
+
+size_t CandidateFrontier::WordsHash::operator()(
+    const std::vector<Word>& words) const {
+  size_t h = 0;
+  for (Word w : words) {
+    h ^= std::hash<Word>{}(w) + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
+  }
+  return h;
+}
+
+uint32_t CandidateFrontier::PositionOf(AttrId a) const {
+  return a < position_of_.size() ? position_of_[a] : kNone;
 }
 
 CandidateFrontier::CandidateFrontier(std::vector<AttrSet> candidates,
                                      AttrSet universe, Semantics semantics)
-    : candidates_(std::move(candidates)),
-      universe_(std::move(universe)),
-      semantics_(semantics) {
-  bounds_.assign(candidates_.size(), universe_);
+    : candidates_(std::move(candidates)), semantics_(semantics) {
+  attr_at_ = universe.ids();
+  const size_t n = attr_at_.size();
+  words_ = (n + kWordBits - 1) / kWordBits;
+  position_of_.assign(n == 0 ? 0 : static_cast<size_t>(attr_at_.back()) + 1,
+                      kNone);
+  for (size_t p = 0; p < n; ++p) {
+    position_of_[attr_at_[p]] = static_cast<uint32_t>(p);
+  }
+  std::vector<Word> full(words_, 0);
+  for (size_t p = 0; p < n; ++p) SetBit(full.data(), static_cast<uint32_t>(p));
   level_ = candidates_.empty() ? 0 : candidates_.front().size();
+  const size_t m = candidates_.size();
+  bounds_.resize(m * words_);
+  lhs_masks_.assign(m * words_, 0);
+  for (size_t i = 0; i < m; ++i) {
+    std::copy(full.begin(), full.end(), BoundOf(i));
+    Word* lhs = lhs_masks_.data() + i * words_;
+    for (AttrId a : candidates_[i]) SetBit(lhs, position_of_[a]);
+  }
   if (level_ == 1) {
-    AttrId max_id = 0;
-    for (const AttrSet& c : candidates_) max_id = std::max(max_id, c.ids()[0]);
-    attr_index_.assign(static_cast<size_t>(max_id) + 1, kNoCandidate);
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-      attr_index_[candidates_[i].ids()[0]] = i;
+    single_index_.assign(n, kNone);
+    for (size_t i = 0; i < m; ++i) {
+      single_index_[position_of_[candidates_[i].ids()[0]]] =
+          static_cast<uint32_t>(i);
     }
   } else if (level_ == 2) {
-    pair_index_.reserve(candidates_.size());
-    for (size_t i = 0; i < candidates_.size(); ++i) {
+    pair_index_.assign(n * n, kNone);
+    for (size_t i = 0; i < m; ++i) {
       const std::vector<AttrId>& ids = candidates_[i].ids();
-      pair_index_[PackPair(ids[0], ids[1])] = i;
+      pair_index_[position_of_[ids[0]] * n + position_of_[ids[1]]] =
+          static_cast<uint32_t>(i);
     }
-  } else {
-    index_.reserve(candidates_.size());
-    for (size_t i = 0; i < candidates_.size(); ++i) index_[candidates_[i]] = i;
+  } else if (level_ > 2) {
+    mask_index_.reserve(m);
+    for (size_t i = 0; i < m; ++i) {
+      const Word* lhs = LhsOf(i);
+      mask_index_.emplace(std::vector<Word>(lhs, lhs + words_),
+                          static_cast<uint32_t>(i));
+    }
   }
+  keep_mask_.resize(words_);
+  agree_mask_.resize(words_);
+  subset_scratch_.resize(words_);
 }
 
 void CandidateFrontier::Apply(const PairEvidence& e) {
-  // Candidates live in `universe_`, so only the agree set's restriction to
-  // it can contain determinants this evidence speaks about.
-  AttrSet agree = e.agree.Intersect(universe_);
-  if (agree.size() < level_) return;
+  if (candidates_.empty()) return;
+  // Candidates live in the universe, so only the agree set's restriction
+  // to it can contain determinants this evidence speaks about.
+  agree_positions_.clear();
+  std::fill(agree_mask_.begin(), agree_mask_.end(), 0);
+  for (AttrId a : e.agree) {
+    const uint32_t p = PositionOf(a);
+    if (p == kNone) continue;
+    agree_positions_.push_back(p);
+    SetBit(agree_mask_.data(), p);
+  }
+  if (agree_positions_.size() < level_) return;
+  // The one mask every affected bound is ANDed with: the agree set for
+  // FDs, the complement of the presence diff for ADs. Bounds never hold
+  // bits past the universe, so neither mask needs trimming.
+  if (semantics_ == Semantics::kFd) {
+    keep_mask_ = agree_mask_;
+  } else {
+    std::fill(keep_mask_.begin(), keep_mask_.end(), ~Word{0});
+    for (AttrId a : e.presence_diff) {
+      const uint32_t p = PositionOf(a);
+      if (p == kNone) continue;
+      keep_mask_[p / kWordBits] &= ~(Word{1} << (p % kWordBits));
+    }
+  }
   auto tighten = [&](size_t i) {
-    bounds_[i] = semantics_ == Semantics::kFd
-                     ? bounds_[i].Intersect(e.agree)
-                     : bounds_[i].Minus(e.presence_diff);
+    Word* bound = BoundOf(i);
+    for (size_t w = 0; w < words_; ++w) bound[w] &= keep_mask_[w];
   };
-  const std::vector<AttrId>& ids = agree.ids();
+  auto scan = [&] {
+    for (size_t i = 0; i < candidates_.size(); ++i) {
+      const Word* lhs = LhsOf(i);
+      bool subset = true;
+      for (size_t w = 0; w < words_ && subset; ++w) {
+        subset = (lhs[w] & ~agree_mask_[w]) == 0;
+      }
+      if (subset) tighten(i);
+    }
+  };
+  const std::vector<uint32_t>& pos = agree_positions_;
   // Either enumerate the affected candidates out of the agree set or
   // subset-test every candidate against it — whichever touches fewer.
-  // Levels 1 and 2 enumerate through flat indexes, no AttrSet churn.
   if (level_ == 1) {
-    for (AttrId a : ids) {
-      if (a < attr_index_.size() && attr_index_[a] != kNoCandidate) {
-        tighten(attr_index_[a]);
-      }
+    for (uint32_t p : pos) {
+      if (single_index_[p] != kNone) tighten(single_index_[p]);
     }
     return;
   }
   if (level_ == 2) {
-    if (ids.size() * (ids.size() - 1) / 2 < 2 * candidates_.size()) {
-      for (size_t i = 0; i < ids.size(); ++i) {
-        for (size_t j = i + 1; j < ids.size(); ++j) {
-          auto it = pair_index_.find(PackPair(ids[i], ids[j]));
-          if (it != pair_index_.end()) tighten(it->second);
-        }
-      }
-    } else {
-      for (size_t i = 0; i < candidates_.size(); ++i) {
-        if (candidates_[i].IsSubsetOf(agree)) tighten(i);
+    if (pos.size() * (pos.size() - 1) / 2 >= 2 * candidates_.size()) {
+      scan();
+      return;
+    }
+    const size_t n = attr_at_.size();
+    for (size_t i = 0; i < pos.size(); ++i) {
+      const uint32_t* row = pair_index_.data() + pos[i] * n;
+      for (size_t j = i + 1; j < pos.size(); ++j) {
+        if (row[pos[j]] != kNone) tighten(row[pos[j]]);
       }
     }
     return;
   }
-  if (ChooseCapped(agree.size(), level_, candidates_.size()) <
+  if (ChooseCapped(pos.size(), level_, candidates_.size()) >=
       candidates_.size()) {
-    ForEachSubset(ids, level_, [&](const AttrSet& lhs) {
-      auto it = index_.find(lhs);
-      if (it != index_.end()) tighten(it->second);
-    });
-  } else {
-    for (size_t i = 0; i < candidates_.size(); ++i) {
-      if (candidates_[i].IsSubsetOf(agree)) tighten(i);
-    }
+    scan();
+    return;
   }
+  ForEachSubset(pos, level_, [&](const std::vector<uint32_t>& subset) {
+    std::fill(subset_scratch_.begin(), subset_scratch_.end(), 0);
+    for (uint32_t p : subset) SetBit(subset_scratch_.data(), p);
+    auto it = mask_index_.find(subset_scratch_);
+    if (it != mask_index_.end()) tighten(it->second);
+  });
 }
 
 void CandidateFrontier::Tighten(const EvidenceStore& store) {
@@ -217,11 +286,24 @@ void CandidateFrontier::Tighten(const EvidenceStore& store) {
 }
 
 AttrSet CandidateFrontier::BoundMinusLhs(size_t i) const {
-  return bounds_[i].Minus(candidates_[i]);
+  const Word* bound = BoundOf(i);
+  const Word* lhs = LhsOf(i);
+  std::vector<AttrId> ids;
+  for (size_t w = 0; w < words_; ++w) {
+    for (Word bits = bound[w] & ~lhs[w]; bits != 0; bits &= bits - 1) {
+      ids.push_back(attr_at_[w * kWordBits + std::countr_zero(bits)]);
+    }
+  }
+  return AttrSet::FromIds(std::move(ids));  // positions ascend with ids
 }
 
 bool CandidateFrontier::Survives(size_t i) const {
-  return !bounds_[i].IsSubsetOf(candidates_[i]);
+  const Word* bound = BoundOf(i);
+  const Word* lhs = LhsOf(i);
+  for (size_t w = 0; w < words_; ++w) {
+    if ((bound[w] & ~lhs[w]) != 0) return true;
+  }
+  return false;
 }
 
 size_t CandidateFrontier::survivor_count() const {

@@ -118,19 +118,29 @@ class EvidenceStore {
 /// proportional to the widest level actually walked (the LHS-size bound),
 /// matching the flat-memory shape of Desbordante's LHS-bounded storage
 /// builders.
+///
+/// Bounds and LHSs are dense bitsets over universe *positions* (the i-th
+/// smallest universe attribute is bit i; multi-word past 64 attributes),
+/// with attribute ids — which may be sparse — mapped through a position
+/// table. Each evidence entry is converted to a mask once per Apply, so
+/// tightening a candidate is a few word-ANDs rather than an AttrSet
+/// merge and allocation; AttrSets are materialized only by BoundMinusLhs.
 class CandidateFrontier {
  public:
   enum class Semantics { kFd, kAd };
 
-  /// `candidates` is one LatticeLevel(universe, k) in canonical order; all
-  /// bounds start at `universe` (no evidence applied yet).
+  /// `candidates` is one LatticeLevel(universe, k) in canonical order (every
+  /// candidate a size-k subset of `universe`); all bounds start at
+  /// `universe` (no evidence applied yet).
   CandidateFrontier(std::vector<AttrSet> candidates, AttrSet universe,
                     Semantics semantics);
 
   /// Applies every store entry added since the last Tighten. Per entry,
   /// either the candidates ⊆ agree-set are enumerated directly (sparse
   /// agree sets) or all candidates are subset-tested against it (dense
-  /// ones), whichever touches fewer candidates.
+  /// ones), whichever touches fewer candidates. Evidence attributes
+  /// outside the universe are ignored: no candidate or bound contains
+  /// them.
   void Tighten(const EvidenceStore& store);
 
   const std::vector<AttrSet>& candidates() const { return candidates_; }
@@ -146,19 +156,40 @@ class CandidateFrontier {
   size_t survivor_count() const;
 
  private:
+  using Word = uint64_t;
+  struct WordsHash {
+    size_t operator()(const std::vector<Word>& words) const;
+  };
+
   void Apply(const PairEvidence& e);
+  /// `a`'s universe position, or all-ones when `a` is outside the universe.
+  uint32_t PositionOf(AttrId a) const;
+  /// Candidate i's words in bounds_ / lhs_masks_.
+  Word* BoundOf(size_t i) { return bounds_.data() + i * words_; }
+  const Word* BoundOf(size_t i) const { return bounds_.data() + i * words_; }
+  const Word* LhsOf(size_t i) const { return lhs_masks_.data() + i * words_; }
 
   std::vector<AttrSet> candidates_;
-  std::vector<AttrSet> bounds_;
-  std::unordered_map<AttrSet, size_t, AttrSetHash> index_;
-  // Allocation-free enumeration arms for the two cheapest (and by far most
-  // common) levels: attr id -> candidate index at k = 1, packed id pair ->
-  // candidate index at k = 2. Deeper levels go through `index_`.
-  std::vector<size_t> attr_index_;
-  std::unordered_map<uint64_t, size_t> pair_index_;
-  AttrSet universe_;
   Semantics semantics_;
   size_t level_ = 0;
+  size_t words_ = 0;  // words per mask: ceil(|universe| / 64)
+  std::vector<AttrId> attr_at_;         // position -> attribute id
+  std::vector<uint32_t> position_of_;   // attribute id -> position
+  std::vector<Word> bounds_;            // candidates × words_
+  std::vector<Word> lhs_masks_;         // candidates × words_
+  // Allocation-free enumeration arms: position -> candidate at k = 1, and a
+  // dense |U| × |U| position-pair table at k = 2. Deeper levels look their
+  // LHS mask up in `mask_index_`.
+  std::vector<uint32_t> single_index_;
+  std::vector<uint32_t> pair_index_;
+  std::unordered_map<std::vector<Word>, uint32_t, WordsHash> mask_index_;
+  // Per-Apply scratch: the evidence's universe positions (ascending), the
+  // mask every affected bound is ANDed with, the agree mask the scan arm
+  // subset-tests against, and the mask an enumerated LHS is looked up by.
+  std::vector<uint32_t> agree_positions_;
+  std::vector<Word> keep_mask_;
+  std::vector<Word> agree_mask_;
+  std::vector<Word> subset_scratch_;
   size_t applied_ = 0;  // store entries consumed so far
 };
 

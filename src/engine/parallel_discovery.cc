@@ -317,10 +317,17 @@ DependencySet EngineDiscoverDependencies(const std::vector<Tuple>& rows,
                                          const AttrSet& universe,
                                          const EngineDiscoveryOptions& options,
                                          DiscoveryRunInfo* info) {
-  // One cache serves both passes: the FD pass leaves every candidate
-  // partition warm for the AD pass. The worker pool shares it — warm
-  // candidate reads are lock-free snapshot hits under the default COW
-  // mode, and cold builds serialize only on the writers-side lock.
+  // One cache serves both passes: the AD pass reuses whatever candidate
+  // partitions the FD pass left cached — all of them when a level fits
+  // the LRU bound, only the most recent max_entries when it does not (a
+  // 2 016-candidate level against the default 1 024 entries evicts
+  // thousands per run, so the AD pass rebuilds most of them). The worker
+  // pool shares the cache: published entries are lock-free snapshot hits
+  // under the default COW mode, while each cold build takes the
+  // writers-side lock twice (to claim its slot, then to register the
+  // result) and republishes the table only once per
+  // 1/PliCache::kRefreshLagDivisor of it changed; until then the fresh
+  // entry is served by the locked lookup.
   PliCache cache(&rows, CacheOptionsOf(options));
   DependencyValidator validator(&cache);
   return EngineDiscoverDependencies(&validator, universe, options, info);

@@ -216,9 +216,10 @@ std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
   FLEXREL_TELEMETRY_LATENCY(get_timer, "engine.pli_cache.get_ns");
   if (options_.cow_reads) {
     // The snapshot read path: one slot pin, no mutex, no flush (COW
-    // hooks flush eagerly, so the snapshot is always current). A miss
-    // falls through to the locked path below — that is cache *population*
-    // (write-side work), not a reader lock wait.
+    // hooks flush eagerly, so the snapshot always reflects the current
+    // rows). A miss falls through to the locked path below — that is
+    // cache *population* (write-side work), not a reader lock wait — which
+    // also serves entries built since the last (coalesced) refresh.
     std::shared_ptr<const Pli> hit =
         WithSnapshot([&](const Snapshot* snap) -> std::shared_ptr<const Pli> {
           if (snap == nullptr) return nullptr;
@@ -289,9 +290,9 @@ std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
         AccountMemoryLocked();
         EvictLocked();
       }
-      // Fold the fresh entry into the published table so every later read
-      // resolves it lock-free.
-      if (options_.cow_reads) PublishLocked(/*flush_publish=*/false);
+      // The fresh entry joins the published table at the next refresh;
+      // until then the locked lookup above serves it.
+      MaybeRefreshLocked(/*added=*/1);
     }
   } catch (...) {
     // Un-poison the slot before publishing the failure: requesters already
@@ -365,10 +366,9 @@ std::shared_ptr<const PliProbe> PliCache::ProbeFor(AttrId attr) {
   auto probe = std::make_shared<PliProbe>(pli->BuildProbe());
   std::lock_guard<std::mutex> lock(mu_);
   // Racing builders compute identical tables; first insert wins.
-  std::shared_ptr<const PliProbe> memo =
-      probes_.emplace(attr, std::move(probe)).first->second;
-  if (options_.cow_reads) PublishLocked(/*flush_publish=*/false);
-  return memo;
+  auto [it, fresh] = probes_.emplace(attr, std::move(probe));
+  if (fresh) MaybeRefreshLocked(/*added=*/1);
+  return it->second;
 }
 
 // ---------------------------------------------------------------------------
@@ -486,12 +486,14 @@ void PliCache::ProbePatchBatchLocked(
 
 std::shared_ptr<const CodeColumn> PliCache::ExistingCodeColumn(AttrId attr) {
   if (options_.cow_reads) {
-    return WithSnapshot(
+    std::shared_ptr<const CodeColumn> hit = WithSnapshot(
         [&](const Snapshot* snap) -> std::shared_ptr<const CodeColumn> {
           if (snap == nullptr) return nullptr;
           auto it = snap->columns.find(attr);
           return it == snap->columns.end() ? nullptr : it->second;
         });
+    if (hit != nullptr) return hit;
+    // A column built since the last refresh is only in the live map.
   }
   std::lock_guard<std::mutex> lock(mu_);
   auto it = code_columns_.find(attr);
@@ -522,10 +524,9 @@ std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
   auto column = std::make_shared<CodeColumn>(CodeColumn::Build(*rows_, attr));
   std::lock_guard<std::mutex> lock(mu_);
   // Racing builders compute identical columns; first insert wins.
-  std::shared_ptr<const CodeColumn> memo =
-      code_columns_.emplace(attr, std::move(column)).first->second;
-  if (options_.cow_reads) PublishLocked(/*flush_publish=*/false);
-  return memo;
+  auto [it, fresh] = code_columns_.emplace(attr, std::move(column));
+  if (fresh) MaybeRefreshLocked(/*added=*/1);
+  return it->second;
 }
 
 PliCache::PartnerScan PliCache::AgreeingRowsLocked(const AttrSet& attrs,
@@ -907,6 +908,7 @@ void PliCache::PublishLocked(bool flush_publish) {
     snap->columns.emplace(attr, column);
   }
   snap->epoch = ++epoch_;
+  unpublished_changes_ = 0;
   if (flush_publish) {
     ++publishes_;
     FLEXREL_TELEMETRY_COUNT("engine.pli_cache.publishes", 1);
@@ -930,6 +932,19 @@ void PliCache::PublishLocked(bool flush_publish) {
   SnapshotSlot& superseded = snapshot_slots_[spare ^ 1u];
   while (!superseded.Drained()) std::this_thread::yield();
   superseded.snap.reset();
+}
+
+void PliCache::MaybeRefreshLocked(size_t added) {
+  if (!options_.cow_reads) return;
+  unpublished_changes_ += added;
+  const size_t table =
+      entries_.size() + probes_.size() + code_columns_.size();
+  if (options_.memory_budget_bytes == 0 &&
+      unpublished_changes_ * kRefreshLagDivisor < table) {
+    return;
+  }
+  FLEXREL_TELEMETRY_LATENCY(refresh_timer, "engine.pli_cache.refresh_ns");
+  PublishLocked(/*flush_publish=*/false);
 }
 
 void PliCache::EnsureFlushIndexesLocked(const std::vector<NetDelta>& net,
@@ -1396,6 +1411,7 @@ void PliCache::EvictLocked() {
       entries_.erase(entry);
       lru_.erase(std::next(it).base());
       ++evictions_;
+      ++unpublished_changes_;
       FLEXREL_TELEMETRY_COUNT("engine.pli_cache.evictions", 1);
       erased = true;
       break;
@@ -1424,6 +1440,7 @@ void PliCache::EvictLocked() {
       lru_.erase(std::next(it).base());
       ++evictions_;
       ++budget_evictions_;
+      ++unpublished_changes_;
       FLEXREL_TELEMETRY_COUNT("engine.pli_cache.evictions", 1);
       FLEXREL_TELEMETRY_COUNT("engine.cache.budget_evictions", 1);
       erased = true;

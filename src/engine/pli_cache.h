@@ -63,7 +63,12 @@
 // one atomic swap per flush, readers resolve cached structures with a
 // single acquire-load and never touch mu_, and a flush patches successor
 // copies off to the side before swapping — the structures a reader holds
-// are frozen at the epoch it loaded them. mu_ shrinks to a writers-only
+// are frozen at the epoch it loaded them. Cache population (a miss
+// building a fresh structure, or evicting one) republishes lazily, once
+// the structures added or evicted since the last publish reach
+// 1/kRefreshLagDivisor of the table; until then a freshly built entry is
+// served by the locked lookup and an evicted one lingers in the snapshot,
+// still correct for the current rows. mu_ shrinks to a writers-only
 // flush/publish (and cache-population) lock. With cow_reads = false the
 // historical locked in-place mode applies: every read takes mu_, flushes
 // the pending buffer, and may observe in-place patches. Either way, each
@@ -107,6 +112,17 @@ struct ValueIndexDelta;
 class PliCache {
  public:
   using Options = PliCacheOptions;
+
+  /// Build-driven snapshot refreshes are coalesced: cache population
+  /// republishes only once the structures added or evicted since the last
+  /// publish reach 1/kRefreshLagDivisor of the live table (flush publishes
+  /// are never deferred). Each refresh copies the whole table, so this
+  /// bounds refresh work to O(kRefreshLagDivisor) table slots per
+  /// structure built, instead of one full copy per miss; the price is
+  /// that an evicted structure stays alive until at most that many more
+  /// changes have landed. A constant, not an option: the bound is what the
+  /// snapshot's memory lag is stated in.
+  static constexpr size_t kRefreshLagDivisor = 8;
 
   explicit PliCache(const std::vector<Tuple>* rows);
   PliCache(const std::vector<Tuple>* rows, Options options);
@@ -225,7 +241,8 @@ class PliCache {
     size_t flushes = 0;
     /// COW snapshot swaps driven by a flush. Identity: publishes == flushes
     /// in COW mode, 0 in locked mode (build-driven snapshot refreshes are
-    /// counted separately, in telemetry only).
+    /// counted separately, in telemetry only — engine.pli_cache.
+    /// snapshot_refreshes, timed as engine.pli_cache.refresh_ns).
     size_t publishes = 0;
     /// Monotone snapshot version: bumps on every swap (flush publishes and
     /// build refreshes alike). 0 while nothing was ever published.
@@ -315,12 +332,23 @@ class PliCache {
 
   /// Rebuilds the snapshot table from the live maps and swaps it in with
   /// one store, then releases the superseded table once its reader pins
-  /// drain (structures no reader holds are freed by this publish).
-  /// `flush_publish` distinguishes the flush-driven swaps (the publishes ==
-  /// flushes identity, timed as engine.pli_cache.flush.publish_ns) from
-  /// build-driven refreshes (a miss adding a fresh entry). Never touches
-  /// the value indexes. Requires mu_; COW mode only.
+  /// drain (structures no reader holds are freed by this publish, evicted
+  /// ones included). O(table) per call. `flush_publish` distinguishes the
+  /// flush-driven swaps (every flush publishes; the publishes == flushes
+  /// identity, timed as engine.pli_cache.flush.publish_ns) from the
+  /// coalesced build-driven refreshes MaybeRefreshLocked performs. Either
+  /// kind resets the unpublished-change count. Never touches the value
+  /// indexes. Requires mu_; COW mode only.
   void PublishLocked(bool flush_publish);
+
+  /// The one refresh rule of the three population paths (Get miss,
+  /// ProbeFor, CodeColumnFor): counts `added` fresh structures, then
+  /// republishes once the structures added or evicted since the last
+  /// publish reach 1/kRefreshLagDivisor of the live table. A budgeted
+  /// cache (memory_budget_bytes != 0) refreshes on every change instead,
+  /// so evicted bytes are released at once. Requires mu_; no-op in locked
+  /// mode.
+  void MaybeRefreshLocked(size_t added);
 
   /// Replaces every cached structure the imminent flush will patch with a
   /// same-content successor copy, so the patch mutates only objects no
@@ -609,6 +637,9 @@ class PliCache {
   size_t flushes_ = 0;
   size_t publishes_ = 0;
   uint64_t epoch_ = 0;
+  // Structures added to or evicted from the live maps since the last
+  // publish (the build-driven refresh trigger, see MaybeRefreshLocked).
+  size_t unpublished_changes_ = 0;
   // Memory-governance state, all meaningful only while
   // options_.memory_budget_bytes != 0 (zero otherwise).
   size_t bytes_plis_ = 0;

@@ -75,6 +75,11 @@ struct PliCacheOptions {
   /// acquisitions (telemetry: engine.pli_cache.reader_lock_waits stays 0).
   /// Mutation hooks flush eagerly under the writers-only lock — one
   /// publish per flush — so reads stay fresh without ever flushing.
+  /// Cache population is published lazily instead: builds and evictions
+  /// republish only once they amount to 1/PliCache::kRefreshLagDivisor of
+  /// the table, so a structure built since the last publish is served by
+  /// the population path's locked lookup (not a reader lock wait), and an
+  /// evicted one stays alive in the snapshot until the next publish.
   /// False pins the historical locked in-place mode: reads take the cache
   /// lock, flush lazily, and patch live structures — kept as the
   /// cross-validation oracle (and as the mode that coalesces read-free

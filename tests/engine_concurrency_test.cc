@@ -33,7 +33,9 @@
 #include <vector>
 
 #include "core/flexible_relation.h"
+#include "engine/parallel_discovery.h"
 #include "engine/pli_cache.h"
+#include "engine/validator.h"
 #include "engine_test_util.h"
 #include "telemetry/telemetry.h"
 #include "test_seed.h"
@@ -408,6 +410,135 @@ TEST(EngineConcurrencySoak, SupersededSnapshotIsReleasedAtPublish) {
   EXPECT_TRUE(cache->SnapshotPinsDrained());
   testutil::VerifyColumnMatchesFreshBuild(*cache->CodeColumnFor(a), rel.rows(),
                                           "successor column");
+}
+
+// ---------------------------------------------------------------------------
+// Coalesced build-driven refreshes: cache population republishes once per
+// 1/kRefreshLagDivisor of the table, not once per miss. Default cache
+// options throughout — the configuration the library ships with — over a
+// fixed wide planted-FD instance whose 2-attribute lattice level overflows
+// the 1024-entry bound, so discovery both builds and evicts.
+// ---------------------------------------------------------------------------
+
+testutil::PlantedFdInstance WidePlantedInstance() {
+  Rng rng(0x51DE5EEDull);  // fixed: the bounds below are exact counts
+  return testutil::MakePlantedFdInstance(&rng, /*num_rows=*/384,
+                                         /*num_attrs=*/64, /*num_planted=*/4,
+                                         /*domain=*/6, /*absence=*/0.15);
+}
+
+TEST(CacheRefreshCoalescing, LevelWiseDiscoveryStaysUnderTheRefreshBound) {
+  telemetry::Enable();
+  const testutil::PlantedFdInstance inst = WidePlantedInstance();
+  const uint64_t refreshes_before =
+      telemetry::CounterValue("engine.pli_cache.snapshot_refreshes");
+  PliCache cache(&inst.rows);
+  DependencyValidator validator(&cache);
+  EngineDiscoveryOptions options;
+  const DependencySet found =
+      EngineDiscoverDependencies(&validator, inst.universe, options);
+  const uint64_t refreshes =
+      telemetry::CounterValue("engine.pli_cache.snapshot_refreshes") -
+      refreshes_before;
+  const PliCache::StatsSnapshot stats = cache.Stats();
+  EXPECT_GT(stats.evictions, 0u) << "the instance must overflow the cache";
+  // A refresh per miss (or per eviction) breaks this by a wide margin.
+  EXPECT_GT(stats.misses, 0u);
+  EXPECT_LE(refreshes * 4, stats.misses)
+      << refreshes << " build-driven refreshes for " << stats.misses
+      << " misses";
+  EXPECT_EQ(stats.publishes, 0u) << "discovery never flushes";
+  // Coalescing changes when entries become lock-free, never the answer.
+  PliCacheOptions locked_options;
+  locked_options.cow_reads = false;
+  PliCache locked(&inst.rows, locked_options);
+  DependencyValidator locked_validator(&locked);
+  const DependencySet oracle =
+      EngineDiscoverDependencies(&locked_validator, inst.universe, options);
+  EXPECT_EQ(found.fds(), oracle.fds());
+  EXPECT_EQ(found.ads(), oracle.ads());
+  telemetry::Disable();
+}
+
+TEST(CacheRefreshCoalescing, EvictedPartitionIsReleasedWithinTheLagBound) {
+  const testutil::PlantedFdInstance inst = WidePlantedInstance();
+  PliCache cache(&inst.rows);
+  const std::vector<AttrSet> pairs = LatticeLevel(inst.universe, 2);
+  const size_t capacity = cache.options().max_entries;
+  // Once evicted, a partition's only owner is the stale snapshot, which is
+  // replaced once the changes since the last publish reach the table size
+  // / kRefreshLagDivisor. The table holds the entries plus at most one
+  // probe per attribute, and with the cache full every further miss is
+  // two changes: one entry added, one evicted.
+  const size_t table = capacity + 2 * inst.universe.size();
+  const size_t lag_changes = table / PliCache::kRefreshLagDivisor + 1;
+  const size_t lag_bound = (lag_changes + 1) / 2;
+  ASSERT_GT(pairs.size(), capacity + 4 * lag_bound);
+  // COW hits never touch the LRU and every pair is built once, so pairs
+  // leave in build order: pairs[j] is the (j+1)-th eviction. Walking
+  // several lag bounds past the first eviction covers every phase of the
+  // refresh cycle.
+  std::vector<std::weak_ptr<const Pli>> held;
+  std::vector<size_t> evicted_at;  // build index of pairs[j]'s eviction
+  for (size_t n = 0; n < capacity + 4 * lag_bound; ++n) {
+    held.push_back(cache.Get(pairs[n]));
+    while (evicted_at.size() < cache.Stats().evictions) {
+      evicted_at.push_back(n);
+    }
+    for (size_t j = 0; j < evicted_at.size(); ++j) {
+      if (n - evicted_at[j] < lag_bound) break;
+      ASSERT_TRUE(held[j].expired())
+          << pairs[j].ToString() << " outlived its eviction at build "
+          << evicted_at[j] << " by " << n - evicted_at[j]
+          << " builds (lag bound " << lag_bound << ")";
+    }
+  }
+  EXPECT_GE(evicted_at.size(), 3 * lag_bound);
+  EXPECT_TRUE(cache.SnapshotPinsDrained());
+}
+
+TEST(CacheRefreshCoalescing, UnpublishedEntryIsServedByTheLockedLookup) {
+  telemetry::Enable();
+  const uint64_t lock_waits_before =
+      telemetry::CounterValue("engine.pli_cache.reader_lock_waits");
+  const testutil::PlantedFdInstance inst = WidePlantedInstance();
+  PliCache cache(&inst.rows);
+  ASSERT_TRUE(cache.options().cow_reads);
+  for (AttrId a : inst.universe) (void)cache.Get(AttrSet::Of(a));
+  // Build pairs until one lands without a refresh: that entry is in the
+  // live table but not in the published snapshot.
+  const std::vector<AttrSet> pairs = LatticeLevel(inst.universe, 2);
+  AttrSet key;
+  std::shared_ptr<const Pli> built;
+  uint64_t epoch = 0;
+  for (const AttrSet& pair : pairs) {
+    epoch = cache.SnapshotEpoch();
+    std::shared_ptr<const Pli> p = cache.Get(pair);
+    if (cache.SnapshotEpoch() == epoch) {
+      key = pair;
+      built = std::move(p);
+      break;
+    }
+  }
+  ASSERT_NE(built, nullptr) << "every build refreshed the snapshot";
+  const PliCache::StatsSnapshot before = cache.Stats();
+
+  std::shared_ptr<const Pli> seen;
+  std::thread reader([&] { seen = cache.Get(key); });
+  reader.join();
+
+  ASSERT_NE(seen, nullptr);
+  EXPECT_EQ(seen.get(), built.get()) << "the reader rebuilt the entry";
+  PliCache fresh(&inst.rows);
+  EXPECT_EQ(*seen, *fresh.Get(key));
+  const PliCache::StatsSnapshot after = cache.Stats();
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.hits, before.hits + 1);
+  EXPECT_EQ(cache.SnapshotEpoch(), epoch) << "a hit must not republish";
+  EXPECT_EQ(telemetry::CounterValue("engine.pli_cache.reader_lock_waits"),
+            lock_waits_before)
+      << "serving an unpublished entry counted as a reader lock wait";
+  telemetry::Disable();
 }
 
 }  // namespace

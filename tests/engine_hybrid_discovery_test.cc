@@ -158,6 +158,99 @@ TEST(CandidateFrontierTest, DenseAgreeSetsTakeTheScanArmIdentically) {
   }
 }
 
+// The frontier's bitsets against the definition, kept in plain AttrSets:
+// every candidate whose LHS lies inside the evidence's agree set has its
+// FD bound intersected with that agree set, or its AD bound stripped of the
+// presence diff. The reference never consults a universe position table,
+// so evidence attributes outside the universe exercise the frontier's
+// filtering for real.
+struct ReferenceFrontier {
+  std::vector<AttrSet> lhs;
+  std::vector<AttrSet> bounds;
+  CandidateFrontier::Semantics semantics;
+
+  void Apply(const PairEvidence& e) {
+    for (size_t i = 0; i < lhs.size(); ++i) {
+      if (!lhs[i].IsSubsetOf(e.agree)) continue;
+      bounds[i] = semantics == CandidateFrontier::Semantics::kFd
+                      ? bounds[i].Intersect(e.agree)
+                      : bounds[i].Minus(e.presence_diff);
+    }
+  }
+};
+
+TEST(EngineHybridDiscoverySoak, BitsetFrontierMatchesAttrSetReference) {
+  Rng rng(TestSeed(227, 1, "frontier-differential"));
+  // 72 sparse, non-contiguous attribute ids (two words per mask), plus
+  // ids outside the universe — below, between, and above its members —
+  // that evidence carries but no candidate or bound may ever contain.
+  AttrSet universe;
+  while (universe.size() < 72) {
+    universe.Insert(static_cast<AttrId>(rng.UniformInt(5, 900)));
+  }
+  std::vector<AttrId> outside = {0, 3, 950, 4000};
+  for (AttrId a = 6; outside.size() < 12; a += 37) {
+    if (!universe.Contains(a)) outside.push_back(a);
+  }
+  const std::vector<AttrId>& ids = universe.ids();
+  auto random_evidence = [&] {
+    PairEvidence e;
+    // Agree-set density from a handful of attributes up to the whole
+    // universe, so both the enumeration and the scan arm run at every
+    // level (level 3 scans only once C(|agree|, 3) reaches C(72, 3)).
+    double keep = rng.UniformInt(2, 30) / 100.0;
+    if (rng.Bernoulli(0.25)) keep = rng.Bernoulli(0.5) ? 0.99 : 0.9;
+    for (AttrId a : ids) {
+      if (rng.Bernoulli(keep)) {
+        e.agree.Insert(a);
+      } else if (rng.Bernoulli(0.2)) {
+        e.presence_diff.Insert(a);
+      }
+    }
+    for (AttrId a : outside) {
+      if (rng.Bernoulli(0.3)) {
+        (rng.Bernoulli(0.5) ? e.agree : e.presence_diff).Insert(a);
+      }
+    }
+    return e;
+  };
+  for (size_t k = 1; k <= 3; ++k) {
+    for (auto semantics : {CandidateFrontier::Semantics::kFd,
+                           CandidateFrontier::Semantics::kAd}) {
+      SCOPED_TRACE(StrCat("k=", k, " semantics=",
+                          semantics == CandidateFrontier::Semantics::kFd
+                              ? "fd"
+                              : "ad"));
+      std::vector<AttrSet> level = LatticeLevel(universe, k);
+      CandidateFrontier frontier(level, universe, semantics);
+      ReferenceFrontier reference{level,
+                                  std::vector<AttrSet>(level.size(), universe),
+                                  semantics};
+      EvidenceStore store;
+      // Tighten in several increments: the frontier consumes only the
+      // store suffix added since its last look.
+      const size_t rounds = k == 3 ? 3 : 6;
+      for (size_t round = 0; round < rounds; ++round) {
+        for (int n = 0; n < 20; ++n) {
+          PairEvidence e = random_evidence();
+          if (store.Add(e)) reference.Apply(e);
+        }
+        frontier.Tighten(store);
+        size_t survivors = 0;
+        for (size_t i = 0; i < level.size(); ++i) {
+          const AttrSet expected = reference.bounds[i].Minus(level[i]);
+          ASSERT_EQ(frontier.BoundMinusLhs(i), expected)
+              << "round " << round << " candidate " << level[i].ToString();
+          ASSERT_EQ(frontier.Survives(i), !expected.empty())
+              << "round " << round << " candidate " << level[i].ToString();
+          if (!expected.empty()) ++survivors;
+        }
+        ASSERT_EQ(frontier.survivor_count(), survivors) << "round " << round;
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Sampler: widening in-cluster enumeration over hand-built partitions.
 // ---------------------------------------------------------------------------
