@@ -177,12 +177,13 @@ BENCHMARK(BM_PliLevelSweep)->Arg(1000)->Arg(10000);
 // plus single- and two-attribute partition reads. Four maintenance modes:
 //
 //   Incremental — per-row Update() calls under the default adaptive
-//     flush policy (the buffer coalesces the burst, so past
-//     batch_threshold the flush group-applies it);
-//   Batched     — the same burst staged through one UpdateRows() call;
+//     flush policy: each call flushes (clone, patch, publish) its own
+//     one-row delta;
+//   Batched     — the same burst staged through one UpdateRows() call, so
+//     one flush sees it whole and, past batch_threshold, group-applies it;
 //   PerRow      — batch_threshold = SIZE_MAX pins the PR 3 per-mutation
-//     cluster surgery, the reference the adaptive policy must beat at
-//     high mutation ratios;
+//     cluster surgery, the reference the batched arm must beat at high
+//     mutation ratios;
 //   Rebuild     — incremental = false, the drop-everything oracle.
 //
 // Updates only (no growth), so all modes benchmark the same instance size
@@ -202,13 +203,6 @@ FlexibleRelation RelationOf(const std::vector<Tuple>& rows,
                             MaintenanceMode mode) {
   FlexibleRelation rel = FlexibleRelation::Derived("bench", DependencySet());
   PliCacheOptions options;
-  // Locked in-place mode: these benches compare the flush-policy arms
-  // (coalescing + patch/batch/drop choice), which only exists in its pure
-  // form with lazy read-side flushing — COW mode flushes (and pays a
-  // structure clone + snapshot publish) on every mutation hook, drowning
-  // the policy costs in publication costs for single-row streams. The COW
-  // publication axis is measured by BM_SnapshotReadStorm* instead.
-  options.cow_reads = false;
   if (mode == MaintenanceMode::kPinnedPerRow) {
     options.batch_threshold = SIZE_MAX;
     options.drop_threshold = SIZE_MAX;
@@ -273,7 +267,7 @@ void MutateThenQuery(benchmark::State& state, MaintenanceMode mode,
       ok = rel.UpdateRows(std::move(burst)).ok();
       burst = {};
     } else {
-      // Row-at-a-time mutation API; the cache still buffers and coalesces.
+      // Row-at-a-time mutation API: one flush and publish per call.
       ok = true;
       for (FlexibleRelation::UpdateSpec& spec : burst) {
         if (!rel.Update(spec.index, spec.attr, std::move(spec.value)).ok()) {
@@ -322,9 +316,10 @@ FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryPerRow);
 FLEXREL_MUTATE_SWEEP(BM_MutateThenQueryRebuild);
 #undef FLEXREL_MUTATE_SWEEP
 
-// The engine-side cost of one batched flush: a 64-update burst staged
-// straight into the cache's delta buffer (OnBatch) and flushed by the
-// next read — the value-index splices, the group-applies, the probe
+// The engine-side cost of one batched flush: a 64-update burst handed
+// straight to the cache's batch hook (OnBatch), which flushes and publishes
+// it, then a read of the patched structures — the clones, the value-index
+// splices, the group-applies, the probe
 // patches, and the multi-attribute re-intersections, isolated from the
 // transactional validation FlexibleRelation layers above them
 // (BM_MutateThenQueryBatched measures the full round). The dense instance
@@ -334,11 +329,7 @@ void BM_CacheBatchedFlush(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const int mutations = static_cast<int>(state.range(1));
   std::vector<Tuple> rows = MakeDenseRows(n, 8, 10, 5);
-  PliCacheOptions options;
-  // Locked mode isolates the flush work itself; COW publication costs are
-  // BM_SnapshotReadStorm*'s axis (see RelationOf).
-  options.cow_reads = false;
-  PliCache cache(&rows, options);
+  PliCache cache(&rows);
   auto query = [&cache] {
     benchmark::DoNotOptimize(cache.CodeColumnFor(0));
     benchmark::DoNotOptimize(cache.Get(AttrSet::Of(0)));
@@ -489,17 +480,12 @@ BENCHMARK(BM_AppendStormFatPartition)
 // Readers × writers: snapshot-read throughput under live write traffic.
 // The benchmark threads are the readers (google benchmark's ->Threads());
 // `writers` (arg 0) background threads hammer row updates through the
-// mutation hooks for the whole measurement. COW mode reads resolve against
-// the published snapshot without any lock. The locked baseline's readers
-// must additionally serialize against the writers with the external mutex
-// — that is its documented contract (in-place flushes read and patch live
-// structures, so reads concurrent with mutations are a data race), and
-// exactly the cost the snapshot plane removes. With writers = 0 both modes
-// read without external locking. scripts/perf_smoke.py sweeps this and
-// hard-fails if COW under one writer ever loses to the locked baseline.
+// mutation hooks for the whole measurement. Reads resolve against the
+// published snapshot without any lock; the writers serialize among
+// themselves on an external mutex, as the row vector requires.
 // ---------------------------------------------------------------------------
 
-void SnapshotReadStorm(benchmark::State& state, bool cow) {
+void BM_SnapshotReadStorm(benchmark::State& state) {
   static FlexibleRelation* rel = nullptr;
   static std::shared_ptr<PliCache> cache;
   static std::vector<Value> jobtypes;
@@ -518,11 +504,8 @@ void SnapshotReadStorm(benchmark::State& state, bool cow) {
         }
       }
     }
-    PliCacheOptions options;
-    options.cow_reads = cow;
     rel = new FlexibleRelation(
         FlexibleRelation::Derived("storm", DependencySet()));
-    rel->SetPliCacheOptions(options);
     rel->InsertRowsUnchecked(std::move(rows));
     cache = rel->pli_cache();
     // Warm every key the readers touch: reader misses rebuild from the row
@@ -550,18 +533,10 @@ void SnapshotReadStorm(benchmark::State& state, bool cow) {
       });
     }
   }
-  const bool serialize_reads = !cow && writers > 0;
   for (auto _ : state) {
-    if (serialize_reads) {
-      std::lock_guard<std::mutex> lock(write_mu);
-      benchmark::DoNotOptimize(cache->Get(AttrSet::Of(kJobtype)));
-      benchmark::DoNotOptimize(cache->Get(AttrSet{kJobtype, kCommon}));
-      benchmark::DoNotOptimize(cache->CodeColumnFor(kCommon));
-    } else {
-      benchmark::DoNotOptimize(cache->Get(AttrSet::Of(kJobtype)));
-      benchmark::DoNotOptimize(cache->Get(AttrSet{kJobtype, kCommon}));
-      benchmark::DoNotOptimize(cache->CodeColumnFor(kCommon));
-    }
+    benchmark::DoNotOptimize(cache->Get(AttrSet::Of(kJobtype)));
+    benchmark::DoNotOptimize(cache->Get(AttrSet{kJobtype, kCommon}));
+    benchmark::DoNotOptimize(cache->CodeColumnFor(kCommon));
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
   if (state.thread_index() == 0) {
@@ -573,21 +548,11 @@ void SnapshotReadStorm(benchmark::State& state, bool cow) {
     rel = nullptr;
   }
 }
-void BM_SnapshotReadStorm(benchmark::State& state) {
-  SnapshotReadStorm(state, /*cow=*/true);
-}
-void BM_SnapshotReadStormLocked(benchmark::State& state) {
-  SnapshotReadStorm(state, /*cow=*/false);
-}
-#define FLEXREL_READ_STORM_SWEEP(bench)                 \
-  BENCHMARK(bench)                                      \
-      ->ArgNames({"writers"})                           \
-      ->Arg(0)->Arg(1)->Arg(4)                          \
-      ->Threads(1)->Threads(4)->Threads(8)              \
-      ->UseRealTime()
-FLEXREL_READ_STORM_SWEEP(BM_SnapshotReadStorm);
-FLEXREL_READ_STORM_SWEEP(BM_SnapshotReadStormLocked);
-#undef FLEXREL_READ_STORM_SWEEP
+BENCHMARK(BM_SnapshotReadStorm)
+    ->ArgNames({"writers"})
+    ->Arg(0)->Arg(1)->Arg(4)
+    ->Threads(1)->Threads(4)->Threads(8)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace flexrel

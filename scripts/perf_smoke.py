@@ -23,10 +23,6 @@ hard-fails on any inversion:
     (BM_DiscoveryArenaStorageWideOneWorker) — adding workers must not slow
     discovery down, which it did while every cache miss republished the
     whole snapshot table under the cache lock;
-  * the lock-free COW snapshot read path (PliCacheOptions::cow_reads)
-    losing to the locked in-place baseline under one concurrent writer,
-    at any point of the 1/4/8-reader sweep (the 0- and 4-writer cells run
-    for the artifact record);
   * the optimizer scaling with the relation: OptimizePlan on the
     restore-shaped plan at 20k rows taking more than 2x its time at 1k
     rows (BM_OptimizePlanRows) — the per-scan attribute statistics are
@@ -45,13 +41,10 @@ construction and work-ratio bounds the engine exists to provide:
   * eval.join.hash_probes stays >= 100x below
     eval.join.hash_pair_candidates (the naive pair count for the same
     joins): the hashed path must probe orders fewer pairs than |L|x|R|;
-  * in the COW read-storm dump (cow_reads=true only): every flush swapped
-    in a snapshot (engine.pli_cache.publishes == flushes, > 0) and no
-    reader ever waited on the cache mutex
-    (engine.pli_cache.reader_lock_waits == 0) — the lock-free read-path
-    guarantee as a counter, not a timing;
-  * in the locked read-storm dump (cow_reads=false): no publishes, and
-    reader_lock_waits > 0 (the baseline really took the locked path);
+  * in the readers x writers read-storm dump (BM_SnapshotReadStorm, whose
+    writers mutate while readers resolve snapshots): every flush swapped
+    in a snapshot (engine.pli_cache.publishes == flushes, > 0) — the
+    copy-on-write publication contract as a counter, not a timing;
   * in the hybrid discovery dump: sampling actually ran
     (engine.discovery.sampled_pairs > 0), every lattice candidate took
     exactly one arm (frontier_validations + evidence_skips == candidates),
@@ -62,6 +55,10 @@ construction and work-ratio bounds the engine exists to provide:
     coalesced (engine.pli_cache.snapshot_refreshes * 4 <= misses, misses
     > 0) — a refresh per miss would copy the whole snapshot table per
     partition built.
+
+Every check reads its dump by the output file name of the run that wrote
+it, so removing or reordering a run cannot silently shift which dump a
+check reads: a check whose run is gone fails as a missing dump.
 
 Counter checks are exact or ratio-based on deterministic counts, so they
 are immune to runner noise. Timing thresholds stay deliberately loose
@@ -112,7 +109,8 @@ import pathlib
 import subprocess
 import sys
 
-# (benchmark binary, filter, output file, metrics file). Reduced sizes: 10k
+# (benchmark binary, filter, output file); each run's telemetry dump is
+# written beside its output file (metrics_name below). Reduced sizes: 10k
 # rows for the mutation sweep, the 10000-row arg for the join — big enough
 # that the engine's asymptotic edge dominates noise, small enough for a
 # smoke job.
@@ -125,29 +123,18 @@ RUNS = [
         "|BM_PliBuildSingleAttr(Coded)?/10000$"
         "|BM_PliCacheLevelSweep/10000$",
         "perf_smoke_pli.json",
-        "perf_smoke_pli_metrics.json",
     ),
     (
         "bench_join_prune",
         "BM_PairJoin(Naive|Pli)/10000$",
         "perf_smoke_join.json",
-        "perf_smoke_join_metrics.json",
     ),
-    # The readers x writers sweep runs each cache mode as its own binary
-    # invocation so each telemetry dump is single-mode and the per-mode
-    # counter identities stay exact (one shared dump would mix the locked
-    # variant's flushes into the COW publishes == flushes identity).
+    # The readers x writers sweep, its own dump so the publication identity
+    # is checked on the shape where writers flush under concurrent readers.
     (
         "bench_pli",
         "BM_SnapshotReadStorm/writers:",
-        "perf_smoke_read_storm_cow.json",
-        "perf_smoke_read_storm_cow_metrics.json",
-    ),
-    (
-        "bench_pli",
-        "BM_SnapshotReadStormLocked/writers:",
-        "perf_smoke_read_storm_locked.json",
-        "perf_smoke_read_storm_locked_metrics.json",
+        "perf_smoke_read_storm.json",
     ),
     # Hybrid and exact level-wise discovery run as separate invocations so
     # each telemetry dump is single-strategy and the frontier identities
@@ -157,13 +144,11 @@ RUNS = [
         "bench_discovery",
         "BM_DiscoveryHybrid/",
         "perf_smoke_discovery_hybrid.json",
-        "perf_smoke_discovery_hybrid_metrics.json",
     ),
     (
         "bench_discovery",
         "BM_DiscoveryArenaStorageWide/",
         "perf_smoke_discovery_levelwise.json",
-        "perf_smoke_discovery_levelwise_metrics.json",
     ),
     # The optimizer on the restore-shaped plan at 1k and 20k rows: its
     # per-scan statistics are maintained, so the rewrite must not scale
@@ -172,7 +157,6 @@ RUNS = [
         "bench_join_prune",
         "BM_OptimizePlanRows/rows:",
         "perf_smoke_optimize_rows.json",
-        "perf_smoke_optimize_rows_metrics.json",
     ),
     # Level-wise discovery pinned to one worker, its own dump so the
     # level-wise identities above stay about the default pool
@@ -181,7 +165,6 @@ RUNS = [
         "bench_discovery",
         "BM_DiscoveryArenaStorageWideOneWorker/",
         "perf_smoke_discovery_levelwise_one_worker.json",
-        "perf_smoke_discovery_levelwise_one_worker_metrics.json",
     ),
 ]
 
@@ -214,13 +197,16 @@ MIN_TRAJECTORY_ENTRIES = 5
 # Shapes whose wall time is not comparable across runs/machines and so must
 # never gate the trajectory: the multi-threaded read-storm contention cells
 # swing 0.25x-1.3x run-to-run with core count and scheduler luck (their
-# guarantees are enforced by the counter identities and the within-run
-# pairwise sweep instead, which compare like with like).
+# guarantee is enforced by the publication counter identity instead).
 TRAJECTORY_SKIP = ("/threads:",)
 
 
-def run_bench(build_dir, out_dir, binary, bench_filter, out_name,
-              metrics_name):
+def metrics_name(out_name):
+    """The telemetry dump a run writes beside its benchmark JSON."""
+    return out_name.removesuffix(".json") + "_metrics.json"
+
+
+def run_bench(build_dir, out_dir, binary, bench_filter, out_name):
     out_path = out_dir / out_name
     # Deliberately NO --benchmark_min_time override: the trajectory gate
     # compares these medians against baselines recorded at google-benchmark
@@ -235,7 +221,7 @@ def run_bench(build_dir, out_dir, binary, bench_filter, out_name,
         "--benchmark_repetitions=3",
         f"--benchmark_out={out_path}",
         "--benchmark_out_format=json",
-        f"--metrics_json={out_dir / metrics_name}",
+        f"--metrics_json={out_dir / metrics_name(out_name)}",
         f"--wall_timeout_s={RUN_TIMEOUT_S}",
     ]
     print("+", " ".join(cmd), flush=True)
@@ -296,8 +282,12 @@ def expect_within(times, small, large, max_ratio, failures):
                         f"(max {max_ratio:.2f}x)")
 
 
-def load_counters(out_dir, metrics_name, failures):
-    path = out_dir / metrics_name
+def load_counters(out_dir, out_name, failures):
+    """Counters of the telemetry dump of the run that writes `out_name`."""
+    if out_name not in {out for _, _, out in RUNS}:
+        failures.append(f"no perf-smoke run writes {out_name}")
+        return {}
+    path = out_dir / metrics_name(out_name)
     if not path.is_file():
         failures.append(f"missing telemetry dump: {path}")
         return {}
@@ -310,7 +300,7 @@ def check_metric_invariants(out_dir, failures):
     identities plus work-ratio bounds; all counts are deterministic)."""
     print("\ntelemetry counter invariants:")
 
-    pli = load_counters(out_dir, RUNS[0][3], failures)
+    pli = load_counters(out_dir, "perf_smoke_pli.json", failures)
     lookups = pli.get("engine.pli_cache.lookups", 0)
     hits = pli.get("engine.pli_cache.hits", 0)
     misses = pli.get("engine.pli_cache.misses", 0)
@@ -334,39 +324,19 @@ def check_metric_invariants(out_dir, failures):
             f"pli_cache flush arms: per_row+batched+dropped({arms}) "
             f"!= flushes({flushes}), or no flushes recorded")
 
-    cow = load_counters(out_dir, RUNS[2][3], failures)
-    publishes = cow.get("engine.pli_cache.publishes", 0)
-    cow_flushes = cow.get("engine.pli_cache.flushes", 0)
-    ok = publishes > 0 and publishes == cow_flushes
-    print(f"  COW read-storm publishes == flushes: {publishes} "
-          f"== {cow_flushes}  {'OK' if ok else 'VIOLATED'}")
+    storm = load_counters(out_dir, "perf_smoke_read_storm.json", failures)
+    publishes = storm.get("engine.pli_cache.publishes", 0)
+    storm_flushes = storm.get("engine.pli_cache.flushes", 0)
+    ok = publishes > 0 and publishes == storm_flushes
+    print(f"  read-storm publishes == flushes: {publishes} "
+          f"== {storm_flushes}  {'OK' if ok else 'VIOLATED'}")
     if not ok:
         failures.append(
-            f"COW snapshot accounting: publishes({publishes}) != "
-            f"flushes({cow_flushes}), or no publishes recorded")
+            f"snapshot accounting: publishes({publishes}) != "
+            f"flushes({storm_flushes}), or no publishes recorded")
 
-    waits = cow.get("engine.pli_cache.reader_lock_waits", 0)
-    ok = waits == 0
-    print(f"  COW read-storm reader_lock_waits == 0: {waits}"
-          f"  {'OK' if ok else 'VIOLATED'}")
-    if not ok:
-        failures.append(
-            f"COW read path took the cache mutex {waits} time(s); the "
-            f"snapshot read path must never wait on a lock")
-
-    locked = load_counters(out_dir, RUNS[3][3], failures)
-    locked_pub = locked.get("engine.pli_cache.publishes", 0)
-    locked_waits = locked.get("engine.pli_cache.reader_lock_waits", 0)
-    ok = locked_pub == 0 and locked_waits > 0
-    print(f"  locked read-storm publishes == 0 and lock_waits > 0: "
-          f"{locked_pub}, {locked_waits}  {'OK' if ok else 'VIOLATED'}")
-    if not ok:
-        failures.append(
-            f"locked-mode baseline: publishes({locked_pub}) should be 0 "
-            f"and reader_lock_waits({locked_waits}) > 0 — the oracle is "
-            f"not exercising the locked path")
-
-    hybrid = load_counters(out_dir, RUNS[4][3], failures)
+    hybrid = load_counters(out_dir, "perf_smoke_discovery_hybrid.json",
+                           failures)
     sampled = hybrid.get("engine.discovery.sampled_pairs", 0)
     ok = sampled > 0
     print(f"  hybrid discovery sampled_pairs > 0: {sampled}"
@@ -389,7 +359,8 @@ def check_metric_invariants(out_dir, failures):
             f"skips({skipped}) != candidates({candidates}), or no "
             f"candidates recorded")
 
-    levelwise = load_counters(out_dir, RUNS[5][3], failures)
+    levelwise = load_counters(out_dir, "perf_smoke_discovery_levelwise.json",
+                              failures)
     lw_misses = levelwise.get("engine.pli_cache.misses", 0)
     lw_refreshes = levelwise.get("engine.pli_cache.snapshot_refreshes", 0)
     ok = lw_misses > 0 and lw_refreshes * 4 <= lw_misses
@@ -416,8 +387,8 @@ def check_metric_invariants(out_dir, failures):
     # every bench build, so their counters must read zero across every
     # dump — a nonzero value means the robustness plane is leaking work
     # into the hot paths (the ≤1% overhead contract starts here).
-    for idx, (_, _, _, metrics_name) in enumerate(RUNS):
-        dump = load_counters(out_dir, metrics_name, failures)
+    for idx, (_, _, out_name) in enumerate(RUNS):
+        dump = load_counters(out_dir, out_name, failures)
         injected = dump.get("fault.injected_total", 0)
         budget_evictions = dump.get("engine.cache.budget_evictions", 0)
         uncached = dump.get("engine.cache.uncached_serves", 0)
@@ -426,19 +397,19 @@ def check_metric_invariants(out_dir, failures):
         ok = (injected == 0 and budget_evictions == 0 and uncached == 0 and
               tripped == 0)
         if idx == 0 or not ok:
-            print(f"  robustness plane quiescent in {metrics_name}: "
+            print(f"  robustness plane quiescent in {out_name}: "
                   f"faults={injected} budget_evictions={budget_evictions} "
                   f"uncached_serves={uncached} exec_trips={tripped}"
                   f"  {'OK' if ok else 'VIOLATED'}")
         if not ok:
             failures.append(
-                f"{metrics_name}: fault injection / memory budget / exec "
+                f"{out_name}: fault injection / memory budget / exec "
                 f"trips active in a bench run (faults={injected}, "
                 f"budget_evictions={budget_evictions}, "
                 f"uncached_serves={uncached}, exec_trips={tripped}) — all "
                 f"must be 0 when the features are disabled")
 
-    join = load_counters(out_dir, RUNS[1][3], failures)
+    join = load_counters(out_dir, "perf_smoke_join.json", failures)
     probes = join.get("eval.join.hash_probes", 0)
     pairs = join.get("eval.join.hash_pair_candidates", 0)
     ok = pairs > 0 and probes * 100 <= pairs
@@ -546,10 +517,10 @@ def main():
                                 args.baseline_dir)
 
     times = {}
-    for binary, bench_filter, out_name, metrics_name in RUNS:
+    for binary, bench_filter, out_name in RUNS:
         times.update(
             run_bench(args.build_dir, args.out_dir, binary, bench_filter,
-                      out_name, metrics_name))
+                      out_name))
 
     failures = []
     print("\nengine vs rebuild oracle (mutate-then-query, 10k rows):")
@@ -595,16 +566,6 @@ def main():
         WORKER_SCALING_MAX_RATIO,
         failures,
     )
-    print("lock-free COW snapshot reads vs locked baseline (1 writer):")
-    for threads in (1, 4, 8):
-        expect_faster(
-            times,
-            f"BM_SnapshotReadStorm/writers:1/real_time/threads:{threads}",
-            f"BM_SnapshotReadStormLocked/writers:1/real_time"
-            f"/threads:{threads}",
-            failures,
-        )
-
     print("optimizer cost independent of the row count "
           "(restore-shaped plan, 1k vs 20k rows):")
     expect_within(

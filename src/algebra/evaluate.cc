@@ -435,11 +435,9 @@ Result<FlexibleRelation> Evaluator::JoinHashedCoded(
 // Equality/IN selection directly over a base scan: the answer is a code
 // column lookup on the scanned relation's attached cache — zero predicate
 // evaluations, and only the matching rows are ever read. Freshness is the
-// cache's contract either way (engine/README.md "Concurrency"): in COW
-// mode mutation hooks flushed and published before this read, which
-// resolves lock-free against the current snapshot; in locked mode this
-// CodeColumnFor flushes any deltas buffered since the last query, so the
-// first evaluation after a burst pays the adaptive batch-apply.
+// cache's contract (engine/README.md "Concurrency"): mutation hooks
+// flushed and published before this read, which resolves lock-free against
+// the current snapshot.
 Result<FlexibleRelation> Evaluator::SelectViaIndex(const Plan& plan,
                                                    ExplainNode* node) {
   const FlexibleRelation* src = plan.inputs()[0]->relation();
@@ -486,9 +484,9 @@ size_t Evaluator::DistinctOn(const FlexibleRelation& rel,
   if (attrs.empty() || rel.empty()) return 1;
   if (options_.use_cache) {
     // These estimates always describe the current instance: cache reads
-    // see every prior mutation (COW mode publishes on the mutation hook,
-    // locked mode flushes here), and each one-call read is internally
-    // coherent — it resolves against a single snapshot.
+    // see every prior mutation (the mutation hook flushes and publishes),
+    // and each one-call read is internally coherent — it resolves against
+    // a single snapshot.
     if (attrs.size() == 1) {
       // Nonempty buckets are exactly the attribute's distinct values (the
       // null bucket counts, absence does not).

@@ -95,7 +95,7 @@ void FlexibleRelation::InvalidateCache() {
 void FlexibleRelation::NotifyInsert() {
   // Same fast path as InvalidateCache: no cache, no work. The row vector's
   // *address* is stable across push_back (the cache points at the member),
-  // so the attached cache survives and buffers the delta.
+  // so the attached cache survives and absorbs the delta.
   if (!has_pli_cache_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::mutex> lock(pli_mu_);
   if (pli_cache_ == nullptr) return;
@@ -375,7 +375,7 @@ Status FlexibleRelation::ApplyBatchImpl(
   }
   // Stage 2: commit — nothing below can fail. Append the staged inserts,
   // swap the staged updates in, then hand the cache the whole delta as one
-  // buffered batch.
+  // batch.
   const size_t insert_count = staged_inserts.size();
   rows_.reserve(base + insert_count);
   for (Tuple& t : staged_inserts) {
@@ -424,7 +424,7 @@ Result<std::vector<TypeChecker::TypeDelta>> FlexibleRelation::UpdateRows(
     // Checker-less (derived) relations cannot fail past the bounds check —
     // no type deltas, no fills, no re-checks — so the whole batch
     // validates up front and then applies in place, skipping the staging
-    // overlay. The displaced old rows feed the cache buffer directly.
+    // overlay. The displaced old rows feed the cache hook directly.
     for (size_t i = 0; i < updates.size(); ++i) {
       if (updates[i].index >= rows_.size()) {
         return Status::OutOfRange(StrCat("batch op#", i, ": row index ",

@@ -118,7 +118,7 @@ class FlexibleRelation {
   /// partition cache. On any failure the relation and cache are byte-
   /// identical to before the call and the error names the offending op;
   /// on success the rows mutate and the cache receives the delta as one
-  /// buffered batch (flushed adaptively on the next read, see
+  /// batch (flushed adaptively and published once, see
   /// engine/pli_cache.h) instead of per-row patch work.
   Status ApplyBatch(std::vector<Mutation> batch);
 
@@ -173,48 +173,43 @@ class FlexibleRelation {
   /// to resolve equality selections and to estimate join orders.
   ///
   /// Maintenance contract: all mutation entry points (single-row and
-  /// batch) keep the attached cache alive and report their deltas to it —
-  /// PliCache buffers them and the next read (Get/CodeColumnFor/ProbeFor,
-  /// i.e. any evaluator or validator access) flushes the buffer
-  /// adaptively: small bursts patch clusters row by row, larger ones are
-  /// group-applied in one sorted splice per affected structure, and burst
-  /// sizes past max(drop_threshold, rows/2) drop everything for one lazy
-  /// rebuild (engine/pli_cache.h). Each batch entry point reports its whole
-  /// delta through one cache hook, so a batch flushes (and, in COW mode,
-  /// publishes) once. Partitions live in CSR-arena cluster storage, and
-  /// the per-attribute probe tables are patched in place across flushes
+  /// batch) keep the attached cache alive and report their deltas to it
+  /// through one cache hook per call, and the hook flushes them before it
+  /// returns — the mutating call pays the maintenance, reads never do.
+  /// The flush is adaptive: small bursts patch clusters row by row, larger
+  /// ones are group-applied in one sorted splice per affected structure,
+  /// and burst sizes past max(drop_threshold, rows/2) drop everything for
+  /// one lazy rebuild (engine/pli_cache.h). Each batch entry point reports
+  /// its whole delta through one hook, so a batch flushes and publishes
+  /// once. Partitions live in CSR-arena cluster storage, and the
+  /// per-attribute probe tables are patched incrementally across flushes
   /// rather than rebuilt.
-  /// Partition/column/probe pointers obtained before a mutation must be
-  /// treated as invalidated by it: until some reader flushes they observe
-  /// the pre-mutation instance, a probe's labels are patched in place by
-  /// that flush, and a partition the flush drops as cheaper-to-rebuild
-  /// leaves a held pointer on the unmaintained object. Re-Get after
-  /// mutations; copy a partition to freeze it. With
+  /// The flush patches successor copies and publishes them as a new
+  /// snapshot, so partition/column/probe pointers obtained before a
+  /// mutation stay valid but frozen at the pre-mutation instance. Re-Get
+  /// after mutations to see the new one. With
   /// pli_cache_options().incremental == false the historical behavior is
   /// restored: every mutation drops the cache wholesale and the next call
   /// rebuilds it from scratch (the oracle the incremental path is
   /// soak-tested against — tests/engine_incremental_test.cc).
   ///
-  /// Concurrency (engine/README.md "Concurrency" for the full rules): in
-  /// the default COW mode (pli_cache_options().cow_reads) cache reads the
-  /// published snapshot can answer are lock-free and safe concurrently
-  /// with mutations — mutation hooks clone, patch, and publish before
-  /// returning, and a held structure stays frozen at its epoch (re-Get to
-  /// see newer epochs; stale is the worst case, torn never). What remains
-  /// a data race is touching the row storage while a mutator runs: a cold
-  /// cache miss rebuilds from rows() on the locked population path, and
-  /// iterating rows() directly races exactly as before. In locked mode
-  /// (cow_reads = false) there is no snapshot, so any concurrent
-  /// evaluation must serialize with mutators externally. Copies and moves
-  /// of the relation start cache-less.
+  /// Concurrency (engine/README.md "Concurrency" for the full rules): cache
+  /// reads the published snapshot can answer are lock-free and safe
+  /// concurrently with mutations — mutation hooks clone, patch, and
+  /// publish before returning, and a held structure stays frozen at its
+  /// epoch (re-Get to see newer epochs; stale is the worst case, torn
+  /// never). What remains a data race is touching the row storage while a
+  /// mutator runs: a cold cache miss rebuilds from rows() on the locked
+  /// population path, and iterating rows() directly races exactly as
+  /// before. Copies and moves of the relation start cache-less.
   ///
   /// Telemetry contract: the batch mutation paths carry telemetry
   /// instrumentation (core.relation.* counters and the
   /// "relation.apply_batch" span, src/telemetry/telemetry.h), and it is
   /// mutation-hook-safe — the counters are relaxed atomics and the span
   /// ring takes only the registry's own mutex, while the cache fan-out
-  /// (NotifyBatch) only appends to the pending-delta buffer under the
-  /// cache's pli_mu_. The two lock domains never nest the other way, so
+  /// (NotifyBatch) takes the relation's pli_mu_ and then the cache's own
+  /// writer lock to flush. The lock domains never nest the other way, so
   /// instrumented mutations introduce no lock inversion, and enabling or
   /// disabling telemetry mid-run cannot change which hooks fire or the
   /// relation/cache state they produce.
@@ -230,9 +225,10 @@ class FlexibleRelation {
 
  private:
   void InvalidateCache();
-  /// Mutation fan-out to the attached cache: buffer the delta (incremental
-  /// mode) or drop the cache (fallback mode). Called after rows_ has been
-  /// mutated; NotifyUpdate takes ownership of the displaced old row.
+  /// Mutation fan-out to the attached cache: flush the delta into it
+  /// (incremental mode) or drop the cache (fallback mode). Called after
+  /// rows_ has been mutated; NotifyUpdate takes ownership of the displaced
+  /// old row.
   void NotifyInsert();
   void NotifyUpdate(size_t index, Tuple old_row);
   /// Batch fan-out: `insert_count` rows appended starting at

@@ -37,12 +37,6 @@ PliCache::ValueIndex BuildValueIndex(const std::vector<Tuple>& rows,
   return index;
 }
 
-// Once the pending buffer holds this many raw deltas, the hooks coalesce it
-// in place (first delta per row wins — exactly what the flush would keep),
-// bounding the buffer by the number of touched rows even when a mutation
-// storm runs without interleaved reads.
-constexpr size_t kPendingCompactThreshold = 4096;
-
 // Flat bookkeeping charges for the memory-budget accounting sweep: rough
 // per-map-entry overhead (hash slot, future/control block, LRU node,
 // snapshot-table mirror) and per-Value payload estimate. The budget is
@@ -204,9 +198,7 @@ PliCache::PliCache(const std::vector<Tuple>* rows)
     : PliCache(rows, Options()) {}
 
 PliCache::PliCache(const std::vector<Tuple>* rows, Options options)
-    : rows_(rows),
-      options_(options),
-      pending_compact_at_(kPendingCompactThreshold) {}
+    : rows_(rows), options_(options) {}
 
 std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
   // Nested lookups (BuildFor's prefix recursion, ProbeFor) each count —
@@ -214,34 +206,20 @@ std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
   // identity hits + misses == lookups holds at any quiescent point.
   FLEXREL_TELEMETRY_COUNT("engine.pli_cache.lookups", 1);
   FLEXREL_TELEMETRY_LATENCY(get_timer, "engine.pli_cache.get_ns");
-  if (options_.cow_reads) {
-    // The snapshot read path: one slot pin, no mutex, no flush (COW
-    // hooks flush eagerly, so the snapshot always reflects the current
-    // rows). A miss falls through to the locked path below — that is
-    // cache *population* (write-side work), not a reader lock wait — which
-    // also serves entries built since the last (coalesced) refresh.
-    std::shared_ptr<const Pli> hit =
-        WithSnapshot([&](const Snapshot* snap) -> std::shared_ptr<const Pli> {
-          if (snap == nullptr) return nullptr;
-          auto it = snap->plis.find(attrs);
-          return it == snap->plis.end() ? nullptr : it->second;
-        });
-    if (hit != nullptr) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      FLEXREL_TELEMETRY_COUNT("engine.pli_cache.hits", 1);
-      return hit;
-    }
-  } else {
-    // Locked-mode reads take mu_ by design; the counter existing (and
-    // staying 0 in COW mode) is the regression tripwire for the lock-free
-    // read-path guarantee.
-    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.reader_lock_waits", 1);
+  // The snapshot read path: one slot pin, no mutex, no flush (the hooks
+  // flush and publish before they return, so the snapshot always reflects
+  // the current rows). A miss falls through to the locked path below —
+  // cache *population*, write-side work — which also serves entries built
+  // since the last (coalesced) refresh.
+  if (std::shared_ptr<const Pli> hit = FromSnapshot(&Snapshot::plis, attrs)) {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.hits", 1);
+    return hit;
   }
   std::promise<PliPtr> promise;
   std::shared_future<PliPtr> future;
   {
     std::unique_lock<std::mutex> lock(mu_);
-    FlushPendingLocked();
     auto it = entries_.find(attrs);
     if (it != entries_.end()) {
       ++hits_;
@@ -284,16 +262,14 @@ std::shared_ptr<const Pli> PliCache::Get(const AttrSet& attrs) {
   try {
     PliPtr pli = BuildFor(attrs);
     promise.set_value(std::move(pli));
-    if (options_.cow_reads || options_.memory_budget_bytes != 0) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (options_.memory_budget_bytes != 0) {
-        AccountMemoryLocked();
-        EvictLocked();
-      }
-      // The fresh entry joins the published table at the next refresh;
-      // until then the locked lookup above serves it.
-      MaybeRefreshLocked(/*added=*/1);
+    std::lock_guard<std::mutex> lock(mu_);
+    if (options_.memory_budget_bytes != 0) {
+      AccountMemoryLocked();
+      EvictLocked();
     }
+    // The fresh entry joins the published table at the next refresh;
+    // until then the locked lookup above serves it.
+    MaybeRefreshLocked(/*added=*/1);
   } catch (...) {
     // Un-poison the slot before publishing the failure: requesters already
     // waiting see this exception, but the next Get() rebuilds instead of
@@ -345,20 +321,9 @@ PliCache::PliPtr PliCache::BuildFor(const AttrSet& attrs) {
 }
 
 std::shared_ptr<const PliProbe> PliCache::ProbeFor(AttrId attr) {
-  if (options_.cow_reads) {
-    std::shared_ptr<const PliProbe> hit = WithSnapshot(
-        [&](const Snapshot* snap) -> std::shared_ptr<const PliProbe> {
-          if (snap == nullptr) return nullptr;
-          auto it = snap->probes.find(attr);
-          return it == snap->probes.end() ? nullptr : it->second;
-        });
-    if (hit != nullptr) return hit;
-  } else {
-    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.reader_lock_waits", 1);
-  }
+  if (auto hit = FromSnapshot(&Snapshot::probes, attr)) return hit;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    FlushPendingLocked();
     auto it = probes_.find(attr);
     if (it != probes_.end()) return it->second;
   }
@@ -485,36 +450,17 @@ void PliCache::ProbePatchBatchLocked(
 }
 
 std::shared_ptr<const CodeColumn> PliCache::ExistingCodeColumn(AttrId attr) {
-  if (options_.cow_reads) {
-    std::shared_ptr<const CodeColumn> hit = WithSnapshot(
-        [&](const Snapshot* snap) -> std::shared_ptr<const CodeColumn> {
-          if (snap == nullptr) return nullptr;
-          auto it = snap->columns.find(attr);
-          return it == snap->columns.end() ? nullptr : it->second;
-        });
-    if (hit != nullptr) return hit;
-    // A column built since the last refresh is only in the live map.
-  }
+  if (auto hit = FromSnapshot(&Snapshot::columns, attr)) return hit;
+  // A column built since the last refresh is only in the live map.
   std::lock_guard<std::mutex> lock(mu_);
   auto it = code_columns_.find(attr);
   return it == code_columns_.end() ? nullptr : it->second;
 }
 
 std::shared_ptr<const CodeColumn> PliCache::CodeColumnFor(AttrId attr) {
-  if (options_.cow_reads) {
-    std::shared_ptr<const CodeColumn> hit = WithSnapshot(
-        [&](const Snapshot* snap) -> std::shared_ptr<const CodeColumn> {
-          if (snap == nullptr) return nullptr;
-          auto it = snap->columns.find(attr);
-          return it == snap->columns.end() ? nullptr : it->second;
-        });
-    if (hit != nullptr) return hit;
-  } else {
-    FLEXREL_TELEMETRY_COUNT("engine.pli_cache.reader_lock_waits", 1);
-  }
+  if (auto hit = FromSnapshot(&Snapshot::columns, attr)) return hit;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    FlushPendingLocked();
     auto it = code_columns_.find(attr);
     if (it != code_columns_.end()) return it->second;
   }
@@ -631,74 +577,49 @@ void PliCache::PatchEntriesLocked(
 }
 
 // ---------------------------------------------------------------------------
-// Mutation hooks: append to the pending buffer, O(1) per row. In locked
-// mode all patching is deferred to the next read's flush; in COW mode the
-// hook flushes (and publishes) eagerly under the same lock hold, so the
-// published snapshot is always current and readers never flush — the
-// ordering contract is: mutate rows, hook buffers + patches successor
-// copies + swaps the snapshot, release mu_, readers see the new epoch.
+// Mutation hooks: collect the call's deltas, then flush and publish them
+// under one lock hold, so the published snapshot is always current and
+// readers never flush — the ordering contract is: mutate rows, hook
+// patches successor copies + swaps the snapshot, release mu_, readers see
+// the new epoch. Nothing is buffered across hook calls.
 // ---------------------------------------------------------------------------
 
 void PliCache::OnInsert(Pli::RowId row) {
+  std::vector<Delta> deltas;
+  deltas.push_back({row, /*is_insert=*/true, Tuple()});
   std::lock_guard<std::mutex> lock(mu_);
-  pending_.push_back({row, /*is_insert=*/true, Tuple()});
-  if (options_.cow_reads) FlushPendingLocked();
+  FlushLocked(deltas);
 }
 
 void PliCache::OnUpdate(Pli::RowId row, Tuple old_row) {
+  std::vector<Delta> deltas;
+  deltas.push_back({row, /*is_insert=*/false, std::move(old_row)});
   std::lock_guard<std::mutex> lock(mu_);
-  pending_.push_back({row, /*is_insert=*/false, std::move(old_row)});
-  if (options_.cow_reads) {
-    FlushPendingLocked();
-  } else if (pending_.size() >= pending_compact_at_) {
-    CompactPendingLocked();
-  }
+  FlushLocked(deltas);
 }
 
 void PliCache::OnBatch(Pli::RowId first_inserted, size_t insert_count,
                        std::vector<std::pair<Pli::RowId, Tuple>> old_rows) {
-  std::lock_guard<std::mutex> lock(mu_);
-  pending_.reserve(pending_.size() + insert_count + old_rows.size());
+  std::vector<Delta> deltas;
+  deltas.reserve(insert_count + old_rows.size());
   for (size_t i = 0; i < insert_count; ++i) {
-    pending_.push_back({static_cast<Pli::RowId>(first_inserted + i),
-                        /*is_insert=*/true, Tuple()});
+    deltas.push_back({static_cast<Pli::RowId>(first_inserted + i),
+                      /*is_insert=*/true, Tuple()});
   }
   for (auto& [row, old_row] : old_rows) {
-    pending_.push_back({row, /*is_insert=*/false, std::move(old_row)});
+    deltas.push_back({row, /*is_insert=*/false, std::move(old_row)});
   }
-  if (options_.cow_reads) {
-    FlushPendingLocked();
-  } else if (pending_.size() >= pending_compact_at_) {
-    CompactPendingLocked();
-  }
-}
-
-void PliCache::CompactPendingLocked() {
-  // Keep the first delta per row — an insert stays an insert, the oldest
-  // recorded old state survives — which is exactly the coalescing the
-  // flush applies anyway.
-  std::unordered_set<Pli::RowId> seen;
-  seen.reserve(pending_.size());
-  std::vector<PendingDelta> compact;
-  compact.reserve(pending_.size() / 2);
-  for (PendingDelta& d : pending_) {
-    if (seen.insert(d.row).second) compact.push_back(std::move(d));
-  }
-  pending_ = std::move(compact);
-  // Doubling schedule: when the buffer is dominated by distinct rows,
-  // compaction cannot shrink it — re-trying on every hook would go
-  // quadratic against a read-free mutation storm.
-  pending_compact_at_ =
-      std::max(kPendingCompactThreshold, pending_.size() * 2);
+  std::lock_guard<std::mutex> lock(mu_);
+  FlushLocked(deltas);
 }
 
 // ---------------------------------------------------------------------------
-// The flush: coalesce the buffer to net per-row deltas, then patch per row,
-// group-apply, or drop everything by the net burst size.
+// The flush: coalesce one hook's deltas to net per-row deltas, then patch
+// per row, group-apply, or drop everything by the net burst size.
 // ---------------------------------------------------------------------------
 
-void PliCache::FlushPendingLocked() {
-  if (pending_.empty()) return;
+void PliCache::FlushLocked(const std::vector<Delta>& deltas) {
+  if (deltas.empty()) return;
   telemetry::ScopedSpan flush_span("pli_cache.flush");
   FLEXREL_TELEMETRY_LATENCY(flush_timer, "engine.pli_cache.flush_ns");
   // Coalesce to one net delta per row: the first recorded old state wins,
@@ -706,15 +627,15 @@ void PliCache::FlushPendingLocked() {
   // single-delta case — the per-mutation cadence the PR 3 path served —
   // skips the dedup machinery entirely.
   std::vector<NetDelta> net;
-  net.reserve(pending_.size());
-  if (pending_.size() == 1) {
-    const PendingDelta& d = pending_.front();
+  net.reserve(deltas.size());
+  if (deltas.size() == 1) {
+    const Delta& d = deltas.front();
     net.push_back(
         {d.row, d.is_insert, d.is_insert ? nullptr : &d.old_row, AttrSet()});
   } else {
     std::unordered_set<Pli::RowId> seen;
-    seen.reserve(pending_.size());
-    for (const PendingDelta& d : pending_) {
+    seen.reserve(deltas.size());
+    for (const Delta& d : deltas) {
       if (seen.insert(d.row).second) {
         net.push_back({d.row, d.is_insert,
                        d.is_insert ? nullptr : &d.old_row, AttrSet()});
@@ -749,8 +670,6 @@ void PliCache::FlushPendingLocked() {
   });
   if (net.empty()) {
     if (flush_span.active()) flush_span.SetDetail("arm=noop b=0");
-    pending_.clear();
-    pending_compact_at_ = kPendingCompactThreshold;
     return;
   }
   // One flush == one arm taken, so per_row + batched + dropped == flushes.
@@ -761,7 +680,6 @@ void PliCache::FlushPendingLocked() {
   // release of the superseded table, which is where the clones of earlier
   // epochs are freed.
   auto publish = [&] {
-    if (!options_.cow_reads) return;
     FLEXREL_TELEMETRY_LATENCY(publish_timer,
                               "engine.pli_cache.flush.publish_ns");
     PublishLocked(/*flush_publish=*/true);
@@ -777,8 +695,6 @@ void PliCache::FlushPendingLocked() {
                            " est=drop_at:" + std::to_string(drop_at));
     }
     DropAllLocked();
-    pending_.clear();
-    pending_compact_at_ = kPendingCompactThreshold;
     if (options_.memory_budget_bytes != 0) AccountMemoryLocked();
     // Dropping mutates no structure, so nothing needs cloning — but the
     // published table must stop resolving the dropped keys.
@@ -790,17 +706,16 @@ void PliCache::FlushPendingLocked() {
   // throw mid-patch would otherwise leave live structures half-patched.
   // The recovery is the strong guarantee at cache granularity: drop every
   // cached structure (the row vector is the source of truth; reads rebuild
-  // lazily) and publish the dropped state, so no reader — locked or COW —
-  // can ever observe a partially applied flush. The fault sites sit
-  // *outside* PublishLocked on purpose: the recovery path must traverse no
-  // injection point.
+  // lazily) and publish the dropped state, so no reader can ever observe a
+  // partially applied flush. The fault sites sit *outside* PublishLocked on
+  // purpose: the recovery path must traverse no injection point.
   try {
     FLEXREL_FAULT_INJECT("pli_cache.flush.clone");
     // COW: everything the patch arms below will touch is replaced by a
     // same-content successor first, so the live epoch's structures stay
     // frozen for their readers and the swap at the end is the only point
     // new state becomes visible.
-    if (options_.cow_reads) {
+    {
       FLEXREL_TELEMETRY_LATENCY(clone_timer, "engine.pli_cache.flush.clone_ns");
       CloneForCowLocked(changed, insert_count > 0);
     }
@@ -854,16 +769,12 @@ void PliCache::FlushPendingLocked() {
       flush_span.SetDetail("arm=aborted b=" + std::to_string(b));
     }
     DropAllLocked();
-    pending_.clear();
-    pending_compact_at_ = kPendingCompactThreshold;
     if (options_.memory_budget_bytes != 0) AccountMemoryLocked();
     publish();
     // Swallowed: the flush recovered to a consistent (empty) cache, and
     // the mutation itself already succeeded against the row vector.
     return;
   }
-  pending_.clear();
-  pending_compact_at_ = kPendingCompactThreshold;
   if (options_.memory_budget_bytes != 0) {
     AccountMemoryLocked();
     EvictLocked();  // the flush may have grown structures past the budget
@@ -935,7 +846,6 @@ void PliCache::PublishLocked(bool flush_publish) {
 }
 
 void PliCache::MaybeRefreshLocked(size_t added) {
-  if (!options_.cow_reads) return;
   unpublished_changes_ += added;
   const size_t table =
       entries_.size() + probes_.size() + code_columns_.size();
@@ -957,9 +867,9 @@ void PliCache::EnsureFlushIndexesLocked(const std::vector<NetDelta>& net,
       ValueIndex* index =
           &value_indexes_.emplace(a, BuildValueIndex(*rows_, a))
                .first->second;
-      // The fresh index reflects the final rows; rewind the buffered burst
-      // — the deltas reversed, final state -> first recorded old state,
-      // inserts removed entirely — so it describes the instance the cached
+      // The fresh index reflects the final rows; rewind the burst — the
+      // deltas reversed, final state -> first recorded old state, inserts
+      // removed entirely — so it describes the instance the cached
       // partitions still represent. One splice, no capture.
       std::vector<ValueIndexDelta> rewind;
       rewind.reserve(net.size());
@@ -1239,7 +1149,7 @@ void PliCache::BatchApplyLocked(const std::vector<NetDelta>& net,
   using namespace std::chrono_literals;
   const size_t b = net.size();
   // Per-attribute movement lists. The Value pointers reach into rows_ and
-  // into the pending buffer's old tuples, both stable for the flush.
+  // into the hook's old tuples, both stable for the flush.
   std::unordered_map<AttrId, std::vector<ValueIndexDelta>> per_attr;
   std::vector<Pli::RowId> inserted_rows;
   inserted_rows.reserve(insert_count);
@@ -1502,7 +1412,6 @@ PliCache::StatsSnapshot PliCache::Stats() const {
   s.full_drops = full_drops_;
   s.probe_patches = probe_patches_;
   s.probe_rebuilds = probe_rebuilds_;
-  s.pending_deltas = pending_.size();
   s.flushes = flushes_;
   s.publishes = publishes_;
   s.epoch = epoch_;

@@ -11,11 +11,10 @@
 //
 // Mutations: the cache is no longer bound to an immutable instance. When
 // the underlying row vector changes, the owner reports the change through
-// OnInsert/OnUpdate (or the batch hook OnBatch), which *buffer* the delta;
-// the next read (Get/CodeColumnFor — that includes every evaluator and
-// validator access) flushes the pending buffer with a three-way policy
-// decided by the net burst size b (PliCacheOptions::{batch_threshold,
-// drop_threshold}):
+// OnInsert/OnUpdate (or the batch hook OnBatch). Each hook collects the
+// call's deltas, then flushes and publishes them before it returns (see
+// Concurrency below), with a three-way policy decided by the net burst
+// size b (PliCacheOptions::{batch_threshold, drop_threshold}):
 //
 //   - b < batch_threshold: per-row patching, the PR 3 path — only the
 //     clusters the mutated row leaves or joins are touched, O(cluster)
@@ -33,8 +32,8 @@
 //     included) is dropped for lazy from-scratch rebuilds — the burst is
 //     so large that one deferred rebuild beats any patching.
 //
-// Deltas to one row coalesce in the buffer (first old state, final new
-// state), so a row updated 64 times between queries flushes as one move.
+// Deltas to one row within a hook call coalesce (first old state, final
+// new state), so a batch touching a row 64 times flushes one move.
 // The unstripped value indexes are the base of the scheme: they know which
 // lone row to un-strip when a value gains its second carrier, which the
 // stripped partitions alone cannot. They are *flush-private*: built lazily
@@ -57,31 +56,31 @@
 // batched one is benchmarked and soak-tested against.
 //
 // Concurrency: Get/CodeColumnFor/ProbeFor are safe to call from many worker
-// threads. In the default copy-on-write mode (PliCacheOptions::cow_reads)
-// reads are *lock-free under write traffic*: an immutable Snapshot table
-// (partitions + probes + code columns, shared_ptr'd) is published with
-// one atomic swap per flush, readers resolve cached structures with a
-// single acquire-load and never touch mu_, and a flush patches successor
-// copies off to the side before swapping — the structures a reader holds
-// are frozen at the epoch it loaded them. Cache population (a miss
-// building a fresh structure, or evicting one) republishes lazily, once
-// the structures added or evicted since the last publish reach
+// threads, and reads are *lock-free under write traffic* (copy-on-write
+// publication): an immutable Snapshot table (partitions + probes + code
+// columns, shared_ptr'd) is published with one atomic swap per flush,
+// readers resolve cached structures with a single acquire-load and never
+// touch mu_ or flush, and a flush patches successor copies off to the side
+// before swapping — the structures a reader holds are frozen at the epoch
+// it loaded them. Readers never flush on purpose: the flush reads final
+// states from rows(), so a reader flushing while a writer appends or
+// updates would race on the row vector. Cache population (a miss building
+// a fresh structure, or evicting one) republishes lazily, once the
+// structures added or evicted since the last publish reach
 // 1/kRefreshLagDivisor of the table; until then a freshly built entry is
 // served by the locked lookup and an evicted one lingers in the snapshot,
-// still correct for the current rows. mu_ shrinks to a writers-only
-// flush/publish (and cache-population) lock. With cow_reads = false the
-// historical locked in-place mode applies: every read takes mu_, flushes
-// the pending buffer, and may observe in-place patches. Either way, each
-// cache slot holds a shared_future; the first requester of a key builds
-// the partition outside the lock and fulfils the promise, later
-// requesters block on the future instead of duplicating the work.
-// Eviction is LRU over completed multi-attribute entries only —
-// single-attribute partitions are the base of every product and stay
-// resident (in COW mode lock-free hits skip the LRU touch, so eviction
-// order degrades toward build order). Concurrent mutation still requires
-// the *row vector* itself to be externally synchronized against readers
-// that project tuples; the cache's own structures need no reader-side
-// synchronization in COW mode. See src/engine/README.md, "Concurrency".
+// still correct for the current rows. mu_ is a writers-only flush/publish
+// (and cache-population) lock. Each cache slot holds a shared_future; the
+// first requester of a key builds the partition outside the lock and
+// fulfils the promise, later requesters block on the future instead of
+// duplicating the work. Eviction is LRU over completed multi-attribute
+// entries only — single-attribute partitions are the base of every
+// product and stay resident (lock-free hits skip the LRU touch, so
+// eviction order degrades toward build order). Concurrent mutation still
+// requires the *row vector* itself to be externally synchronized against
+// readers that project tuples (and against cold-miss builds, which read
+// it); the cache's own structures need no reader-side synchronization.
+// See src/engine/README.md, "Concurrency".
 
 #ifndef FLEXREL_ENGINE_PLI_CACHE_H_
 #define FLEXREL_ENGINE_PLI_CACHE_H_
@@ -131,7 +130,7 @@ class PliCache {
   PliCache& operator=(const PliCache&) = delete;
 
   /// The stripped partition by `attrs`, building (and caching) it when
-  /// absent. Flushes pending mutation deltas first. Never returns null.
+  /// absent. Never returns null.
   std::shared_ptr<const Pli> Get(const AttrSet& attrs);
 
   /// The memoized probe (row -> cluster label, see PliProbe) of the
@@ -143,10 +142,9 @@ class PliCache {
   /// an O(rows) probe rebuild per touched attribute. A probe is dropped for
   /// a lazy rebuild only when its partition is (entry dropped), when a
   /// patch contradicts it, or when churn has bloated the label bound past
-  /// twice the cluster count (probe_rebuilds in Stats()). Flushes pending
-  /// deltas first; never returns null. The pointee is patched in place
-  /// under the same external-synchronization contract as Get results: do
-  /// not hold it across mutations.
+  /// twice the cluster count (probe_rebuilds in Stats()). Never returns
+  /// null. Like Get results, a held probe is frozen at the epoch it was
+  /// resolved from (the flush patches a successor copy).
   std::shared_ptr<const PliProbe> ProbeFor(AttrId attr);
 
   /// The *unstripped* value-keyed view of a single-attribute partition:
@@ -163,10 +161,8 @@ class PliCache {
   /// selections, row estimates, and hybrid sampling. Built once per
   /// attribute, pinned, and patched by the same flush that patches the
   /// partitions, so a fetched column is always exactly as fresh as a Get()
-  /// from the same quiescent point. Flushes pending deltas first; never
-  /// returns null; safe from many threads; same holding contract as Get
-  /// results (in COW mode a held column is frozen at its epoch, in locked
-  /// mode do not hold it across mutations).
+  /// from the same quiescent point. Never returns null; safe from many
+  /// threads; a held column is frozen at its epoch, like Get results.
   std::shared_ptr<const CodeColumn> CodeColumnFor(AttrId attr);
 
   /// Probe-only twin of CodeColumnFor: the column when it already exists,
@@ -180,13 +176,13 @@ class PliCache {
 
   // ------------------------------------------------------------------
   // Incremental maintenance hooks. FlexibleRelation calls these *after*
-  // mutating its row vector. The hooks only append to the pending-delta
-  // buffer (O(1) per row — inserts record nothing but the row id, updates
-  // take ownership of the displaced old tuple); all patching is deferred
-  // to the next read. Structures handed out by earlier Get/CodeColumnFor
-  // calls are shared — a holder may observe the pre-flush instance until
-  // some reader flushes, which is exactly the documented contract: do not
-  // hold partition pointers across mutations; re-Get after mutating.
+  // mutating its row vector. Each hook collects the call's deltas (inserts
+  // record nothing but the row id, updates take ownership of the
+  // displaced old tuple), flushes them into successor copies of the
+  // affected structures, and publishes the new snapshot before returning,
+  // so the next read sees the mutation. Structures handed out by earlier
+  // Get/CodeColumnFor calls stay frozen at their epoch: re-Get after
+  // mutating to see the new instance.
   // ------------------------------------------------------------------
 
   /// The row at index `row` == rows().size() - 1 was just appended.
@@ -198,8 +194,8 @@ class PliCache {
   /// attributes) arrive as one multi-attribute delta.
   void OnUpdate(Pli::RowId row, Tuple old_row);
 
-  /// One already-applied transactional batch, buffered under a single lock
-  /// and flushed (in COW mode: published) once: rows first_inserted ..
+  /// One already-applied transactional batch, flushed and published once
+  /// under a single lock: rows first_inserted ..
   /// first_inserted + insert_count - 1 were appended, and every (row,
   /// pre-mutation state) in `old_rows` was updated in place. One hook per
   /// batch, so the flush sees the whole net delta — split insert and
@@ -234,15 +230,12 @@ class PliCache {
     /// Memoized probe tables dropped for a lazy O(rows) rebuild (partition
     /// dropped, patch contradicted, or label bound bloated).
     size_t probe_rebuilds = 0;
-    /// Mutation deltas currently buffered (not yet flushed by a read).
-    /// Always 0 at rest in COW mode, whose hooks flush eagerly.
-    size_t pending_deltas = 0;
     /// Flushes that took any arm (per_row + batched + dropped).
     size_t flushes = 0;
-    /// COW snapshot swaps driven by a flush. Identity: publishes == flushes
-    /// in COW mode, 0 in locked mode (build-driven snapshot refreshes are
-    /// counted separately, in telemetry only — engine.pli_cache.
-    /// snapshot_refreshes, timed as engine.pli_cache.refresh_ns).
+    /// Snapshot swaps driven by a flush. Identity: publishes == flushes
+    /// (build-driven snapshot refreshes are counted separately, in
+    /// telemetry only — engine.pli_cache.snapshot_refreshes, timed as
+    /// engine.pli_cache.refresh_ns).
     size_t publishes = 0;
     /// Monotone snapshot version: bumps on every swap (flush publishes and
     /// build refreshes alike). 0 while nothing was ever published.
@@ -280,8 +273,7 @@ class PliCache {
   /// publish, monotone afterwards. Lock-free (one slot pin), so readers
   /// (and the concurrency soaks) can bracket a multi-structure read: equal
   /// epochs before and after guarantee every structure came from that one
-  /// snapshot (a thread's observed epochs never go backwards). Always 0 in
-  /// locked mode, which never publishes.
+  /// snapshot (a thread's observed epochs never go backwards).
   uint64_t SnapshotEpoch() const;
 
  private:
@@ -293,10 +285,10 @@ class PliCache {
     bool evictable = false;
   };
 
-  /// One buffered mutation: an append (old_row empty, the row's state is
+  /// One reported mutation: an append (old_row empty, the row's state is
   /// read from rows() at flush time) or an update (old_row = the displaced
   /// pre-mutation tuple).
-  struct PendingDelta {
+  struct Delta {
     Pli::RowId row;
     bool is_insert;
     Tuple old_row;
@@ -310,7 +302,7 @@ class PliCache {
   struct NetDelta {
     Pli::RowId row;
     bool is_insert;
-    const Tuple* old_row;  // into pending_; null for inserts
+    const Tuple* old_row;  // into the hook's deltas; null for inserts
     AttrSet changed_attrs;
   };
 
@@ -338,7 +330,7 @@ class PliCache {
   /// identity, timed as engine.pli_cache.flush.publish_ns) from the
   /// coalesced build-driven refreshes MaybeRefreshLocked performs. Either
   /// kind resets the unpublished-change count. Never touches the value
-  /// indexes. Requires mu_; COW mode only.
+  /// indexes. Requires mu_.
   void PublishLocked(bool flush_publish);
 
   /// The one refresh rule of the three population paths (Get miss,
@@ -346,8 +338,7 @@ class PliCache {
   /// republishes once the structures added or evicted since the last
   /// publish reach 1/kRefreshLagDivisor of the live table. A budgeted
   /// cache (memory_budget_bytes != 0) refreshes on every change instead,
-  /// so evicted bytes are released at once. Requires mu_; no-op in locked
-  /// mode.
+  /// so evicted bytes are released at once. Requires mu_.
   void MaybeRefreshLocked(size_t added);
 
   /// Replaces every cached structure the imminent flush will patch with a
@@ -357,7 +348,7 @@ class PliCache {
   /// (row-count bookkeeping), every probe (label arrays grow), and every
   /// code column. The value indexes are flush-private — no reader can
   /// hold one — so they are patched in place, never cloned.
-  /// Requires mu_; COW mode only.
+  /// Requires mu_.
   void CloneForCowLocked(const AttrSet& changed, bool has_inserts);
 
   /// Drops completed evictable entries beyond max_entries, then — when a
@@ -377,11 +368,11 @@ class PliCache {
     return bytes_plis_ + bytes_probes_ + bytes_indexes_ + bytes_columns_;
   }
 
-  /// Applies the pending-delta buffer to every cached structure, choosing
-  /// per-row replay, batched apply, or drop-everything by the net burst
-  /// size (see file comment). Requires mu_; every read path calls this
-  /// before touching entries_/probes_/code_columns_.
-  void FlushPendingLocked();
+  /// Applies one hook call's deltas to successor copies of every affected
+  /// cached structure, choosing per-row replay, batched apply, or
+  /// drop-everything by the net burst size (see file comment), then
+  /// publishes. Requires mu_; every mutation hook calls it.
+  void FlushLocked(const std::vector<Delta>& deltas);
 
   /// Per-row replay of one net insert/update — the PR 3 patch bodies.
   /// Requires mu_ and EnsureFlushIndexesLocked having run for this flush.
@@ -433,11 +424,6 @@ class PliCache {
   /// columns with everything else. Requires mu_.
   void PatchCodeColumnsLocked(const std::vector<NetDelta>& net,
                               const AttrSet& changed, bool has_inserts);
-
-  /// Coalesces the pending buffer in place (first delta per row wins) so a
-  /// read-free mutation storm cannot grow it past the touched-row count.
-  /// Requires mu_.
-  void CompactPendingLocked();
 
   enum class PartnerScan {
     kOk,       ///< `out` holds the partners
@@ -612,8 +598,21 @@ class PliCache {
     }
   }
 
-  /// Writers-only in COW mode (flush/publish and cache population); the
-  /// read path of every locked-mode call as well.
+  /// The structure `key` resolves to in the current snapshot's `table`,
+  /// or null (nothing published yet, or the key is not in the table — the
+  /// caller falls through to the locked population path). Lock-free.
+  template <typename Table, typename Key>
+  typename Table::mapped_type FromSnapshot(Table Snapshot::*table,
+                                           const Key& key) const {
+    return WithSnapshot(
+        [&](const Snapshot* snap) -> typename Table::mapped_type {
+          if (snap == nullptr) return nullptr;
+          auto it = (snap->*table).find(key);
+          return it == (snap->*table).end() ? nullptr : it->second;
+        });
+  }
+
+  /// Writers only: flush/publish and cache population.
   mutable std::mutex mu_;
   EntryMap entries_;
   std::unordered_map<AttrId, std::shared_ptr<PliProbe>>
@@ -623,8 +622,6 @@ class PliCache {
   std::unordered_map<AttrId, std::shared_ptr<CodeColumn>>
       code_columns_;  // pinned and patched; the columnar value plane
   std::list<AttrSet> lru_;  // front = most recently used, evictable keys only
-  std::vector<PendingDelta> pending_;  // buffered mutations, oldest first
-  size_t pending_compact_at_;  // next buffer size that triggers compaction
   std::atomic<size_t> hits_{0};  // atomic: bumped on the lock-free hit path
   size_t misses_ = 0;
   size_t evictions_ = 0;

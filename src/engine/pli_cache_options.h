@@ -31,11 +31,11 @@ struct PliCacheOptions {
   size_t memory_budget_bytes = 0;
 
   /// Maintain cached partitions and code columns incrementally across
-  /// instance mutations (PliCache::OnInsert/OnUpdate patch the affected
-  /// clusters in place). False restores the pre-incremental behavior:
-  /// FlexibleRelation drops the whole cache on every mutation and the next
-  /// query rebuilds it from scratch — kept as the cross-validation oracle
-  /// for the incremental path.
+  /// instance mutations (PliCache::OnInsert/OnUpdate patch copies of the
+  /// affected clusters and publish them). False restores the
+  /// pre-incremental behavior: FlexibleRelation drops the whole cache on
+  /// every mutation and the next query rebuilds it from scratch — kept as
+  /// the cross-validation oracle for the incremental path.
   bool incremental = true;
 
   /// Patch-vs-rebuild crossover for multi-attribute partitions: when the
@@ -46,10 +46,10 @@ struct PliCacheOptions {
   /// the rebuild path on small instances.
   size_t patch_scan_limit = 2048;
 
-  /// Per-row-patch vs batched-apply crossover. Mutations are buffered as
-  /// pending deltas and flushed on the next read; a flush of fewer than
-  /// batch_threshold net deltas replays them row by row (the PR 3 patch
-  /// path), a larger one group-applies them: value indexes and
+  /// Per-row-patch vs batched-apply crossover. Each mutation hook flushes
+  /// the deltas of its call; a flush of fewer than batch_threshold net
+  /// deltas replays them row by row (the per-row patch path), a larger one
+  /// group-applies them: value indexes and
   /// single-attribute partitions are spliced in one sorted pass
   /// (ValueIndexApplyUpdateBatch / Pli::ApplyBatch) and multi-attribute
   /// partitions are group-patched or dropped for lazy re-intersection by
@@ -66,33 +66,6 @@ struct PliCacheOptions {
   /// burst size one deferred rebuild beats any splicing, which is what the
   /// incremental = false oracle demonstrates at high mutation ratios.
   size_t drop_threshold = 2048;
-
-  /// Epoch-style copy-on-write snapshot publication (the default): every
-  /// flush patches successor copies of the affected partitions, probes,
-  /// and code columns off to the side and publishes them with one atomic
-  /// swap of an immutable snapshot table, so Get/CodeColumnFor/ProbeFor serve
-  /// cached structures with a single acquire-load and zero mutex
-  /// acquisitions (telemetry: engine.pli_cache.reader_lock_waits stays 0).
-  /// Mutation hooks flush eagerly under the writers-only lock — one
-  /// publish per flush — so reads stay fresh without ever flushing.
-  /// Cache population is published lazily instead: builds and evictions
-  /// republish only once they amount to 1/PliCache::kRefreshLagDivisor of
-  /// the table, so a structure built since the last publish is served by
-  /// the population path's locked lookup (not a reader lock wait), and an
-  /// evicted one stays alive in the snapshot until the next publish.
-  /// False pins the historical locked in-place mode: reads take the cache
-  /// lock, flush lazily, and patch live structures — kept as the
-  /// cross-validation oracle (and as the mode that coalesces read-free
-  /// mutation storms across hook calls, which eager COW flushing gives
-  /// up). The tradeoff is write amplification: a COW flush clones every
-  /// structure it patches, so a single-row mutation stream pays
-  /// O(cache footprint) per row where locked mode coalesces the stream
-  /// into one adaptive flush at the next read. Concurrent serving wants
-  /// the default; a single-threaded mutate-heavy pipeline should pin
-  /// locked mode (bench_pli's mutate-then-query sweep does, and
-  /// BM_SnapshotReadStorm* measures the COW side). See the "Concurrency"
-  /// section of src/engine/README.md.
-  bool cow_reads = true;
 };
 
 }  // namespace flexrel

@@ -443,7 +443,7 @@ Result<std::unique_ptr<FlexDb>> ReadFlexDb(const std::string& text) {
   // type-checked and duplicate-checked (hashed set semantics, not the
   // per-row linear scan) before any row lands, so a bad file leaves the
   // relation empty instead of partially loaded, and the attached cache —
-  // should a caller have touched it — sees one buffered batch. The batch
+  // should a caller have touched it — sees one batch. The batch
   // error names the offending op index, which here is the row number.
   FLEXREL_RETURN_IF_ERROR(
       db->relation.InsertRows(std::move(loaded_rows))

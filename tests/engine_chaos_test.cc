@@ -197,7 +197,7 @@ TEST(EngineChaosSoak, SurvivedFaultsLeaveCacheRebuildEquivalent) {
 }
 
 // Flush-arm faults are swallowed by drop-all recovery, so mutations
-// under fire must never throw out of the mutation API in COW mode — and
+// under fire must never throw out of the mutation API — and
 // the cache must still match a rebuild afterwards.
 TEST(EngineChaosSoak, FlushFaultsRecoverWithoutSurfacing) {
   const uint64_t base = ChaosSeed(2);
@@ -211,7 +211,6 @@ TEST(EngineChaosSoak, FlushFaultsRecoverWithoutSurfacing) {
   std::vector<AttrSet> partitions = {AttrSet{attrs[0], attrs[1]},
                                      AttrSet{attrs[1], attrs[2]}};
   std::shared_ptr<PliCache> cache = rel.pli_cache();
-  ASSERT_TRUE(cache->options().cow_reads);
   for (const AttrSet& k : partitions) (void)cache->Get(k);
 
   uint64_t flush_aborts = 0;

@@ -1,13 +1,12 @@
-// Concurrency soak for the COW snapshot plane (PliCache with
-// PliCacheOptions::cow_reads, the default): N reader threads resolve cached
-// partitions, probes, and code columns through the published snapshot
-// while M writer threads mutate the relation, and every structure a reader
-// observes must be internally coherent — CheckInvariants holds, and the
-// probe describes exactly the partition's clustering (a label bijection)
-// whenever both were bracketed inside one epoch. At quiesce, everything
-// must equal a from-scratch rebuild, and COW mode must be structurally
-// identical to the locked in-place oracle (cow_reads = false) across a
-// 30-seed single-threaded soak.
+// Concurrency soak for the PliCache's copy-on-write snapshot plane: N
+// reader threads resolve cached partitions, probes, and code columns
+// through the published snapshot while M writer threads mutate the
+// relation, and every structure a reader observes must be internally
+// coherent — CheckInvariants holds, and the probe describes exactly the
+// partition's clustering (a label bijection) whenever both were bracketed
+// inside one epoch. At quiesce, everything must equal a from-scratch
+// rebuild, and a 30-seed single-threaded soak checks the same equality
+// every 12 mutations.
 //
 // The reader threads deliberately touch only pre-warmed keys: the row
 // vector itself is NOT under the snapshot contract (mutators synchronize
@@ -15,9 +14,8 @@
 // which rebuilds from rows() — belongs to the write side. Warmed singles,
 // pairs, and columns are never dropped by sub-threshold per-row flushes,
 // so every reader access resolves against immutable snapshot structures.
-// This is the suite the CI TSan job runs; a reader acquiring mu_ (or a
-// writer publishing a structure it then patches) is a data-race report,
-// not just an assertion failure.
+// This is the suite the CI TSan job runs; a writer publishing a structure
+// it then patches is a data-race report, not just an assertion failure.
 //
 // Randomized parts take their seed from FLEXREL_TEST_SEED (CI seed
 // diversity) via tests/test_seed.h and print it for replay.
@@ -32,6 +30,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/discovery.h"
 #include "core/flexible_relation.h"
 #include "engine/parallel_discovery.h"
 #include "engine/pli_cache.h"
@@ -127,9 +126,10 @@ WarmKeys WarmCache(PliCache* cache, const std::vector<AttrId>& attrs) {
   return keys;
 }
 
-void VerifyAgainstRebuildAtQuiesce(const FlexibleRelation& rel,
-                                   const WarmKeys& keys,
-                                   const std::string& context) {
+// Every warmed partition, probe and code column against a from-scratch
+// cache over the same rows. Single-threaded callers only (or at quiesce).
+void VerifyAgainstRebuild(const FlexibleRelation& rel, const WarmKeys& keys,
+                          const std::string& context) {
   std::shared_ptr<PliCache> cache = rel.pli_cache();
   PliCache rebuild(&rel.rows());
   for (const AttrSet& k : keys.partitions) {
@@ -159,8 +159,6 @@ void VerifyAgainstRebuildAtQuiesce(const FlexibleRelation& rel,
 
 TEST(EngineConcurrencySoak, ReadersObserveCoherentSnapshotsUnderWriters) {
   telemetry::Enable();
-  const uint64_t lock_waits_before =
-      telemetry::CounterValue("engine.pli_cache.reader_lock_waits");
   const uint64_t seed = ConcurrencySeed(1);
 
   AttrCatalog catalog;
@@ -174,7 +172,6 @@ TEST(EngineConcurrencySoak, ReadersObserveCoherentSnapshotsUnderWriters) {
     }
   }
   std::shared_ptr<PliCache> cache = rel.pli_cache();
-  ASSERT_TRUE(cache->options().cow_reads);
   const WarmKeys keys = WarmCache(cache.get(), attrs);
   ASSERT_GT(cache->SnapshotEpoch(), 0u) << "warming must have published";
 
@@ -247,29 +244,21 @@ TEST(EngineConcurrencySoak, ReadersObserveCoherentSnapshotsUnderWriters) {
 
   EXPECT_GT(bracketed_checks.load(), 0u)
       << "the soak never caught a quiet epoch; weaken the write storm";
-  ASSERT_NO_FATAL_FAILURE(
-      VerifyAgainstRebuildAtQuiesce(rel, keys, "quiesce"));
+  ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(rel, keys, "quiesce"));
 
   const PliCache::StatsSnapshot stats = cache->Stats();
   EXPECT_EQ(stats.publishes, stats.flushes)
-      << "COW mode must publish exactly once per flush";
+      << "every flush must publish exactly once";
   EXPECT_GT(stats.publishes, 0u);
   EXPECT_GE(stats.epoch, stats.publishes);
-  EXPECT_EQ(stats.pending_deltas, 0u) << "COW hooks flush eagerly";
-  // The lock-free guarantee, as a counter identity: no snapshot read ever
-  // took mu_. (Locked-mode reads bump this by design — see the locked-mode
-  // oracle test below.)
-  EXPECT_EQ(telemetry::CounterValue("engine.pli_cache.reader_lock_waits"),
-            lock_waits_before)
-      << "a COW-mode snapshot read acquired the cache mutex";
   telemetry::Disable();
 }
 
 // ---------------------------------------------------------------------------
-// COW vs the locked in-place oracle: structurally identical, 30 seeds.
+// Maintained cache vs the from-scratch rebuild oracle, 30 seeds.
 // ---------------------------------------------------------------------------
 
-TEST(EngineConcurrencySoak, CowModeMatchesLockedOracleAcrossSeeds) {
+TEST(EngineConcurrencySoak, MaintainedCacheMatchesRebuildAcrossSeeds) {
   const uint64_t base = ConcurrencySeed(2);
   for (uint64_t s = 0; s < 30; ++s) {
     Rng rng(base + s * 0x9E3779B97F4A7C15ull);
@@ -278,64 +267,31 @@ TEST(EngineConcurrencySoak, CowModeMatchesLockedOracleAcrossSeeds) {
     for (int i = 0; i < 5; ++i) {
       attrs.push_back(catalog.Intern(StrCat("d", i)));
     }
-    FlexibleRelation cow = FlexibleRelation::Derived("cow", DependencySet());
-    FlexibleRelation locked =
-        FlexibleRelation::Derived("locked", DependencySet());
-    PliCacheOptions locked_options;
-    locked_options.cow_reads = false;
-    locked.SetPliCacheOptions(locked_options);
-
-    for (int i = 0; i < 40; ++i) {
-      Tuple t = RandomTuple(attrs, &rng);
-      cow.InsertUnchecked(t);
-      locked.InsertUnchecked(std::move(t));
-    }
-    WarmKeys cow_keys = WarmCache(cow.pli_cache().get(), attrs);
-    (void)WarmCache(locked.pli_cache().get(), attrs);
+    FlexibleRelation rel = FlexibleRelation::Derived("soak", DependencySet());
+    for (int i = 0; i < 40; ++i) rel.InsertUnchecked(RandomTuple(attrs, &rng));
+    const WarmKeys keys = WarmCache(rel.pli_cache().get(), attrs);
 
     for (int op = 0; op < 60; ++op) {
       if (rng.Bernoulli(0.5)) {
-        Tuple t = RandomTuple(attrs, &rng);
-        cow.InsertUnchecked(t);
-        locked.InsertUnchecked(std::move(t));
+        rel.InsertUnchecked(RandomTuple(attrs, &rng));
       } else {
-        size_t row = rng.Index(cow.size());
+        size_t row = rng.Index(rel.size());
         AttrId attr = attrs[rng.Index(attrs.size())];
         Value v = RandomValue(&rng);
-        ASSERT_TRUE(cow.Update(row, attr, v).ok()) << "seed#" << s;
-        ASSERT_TRUE(locked.Update(row, attr, v).ok()) << "seed#" << s;
+        ASSERT_TRUE(rel.Update(row, attr, v).ok()) << "seed#" << s;
       }
       if (op % 12 == 11) {
-        std::shared_ptr<PliCache> lhs = cow.pli_cache();
-        std::shared_ptr<PliCache> rhs = locked.pli_cache();
-        for (const AttrSet& k : cow_keys.partitions) {
-          ASSERT_EQ(*lhs->Get(k), *rhs->Get(k))
-              << "seed#" << s << " op#" << op << " partition "
-              << k.ToString();
-        }
-        for (AttrId a : cow_keys.columns) {
-          const std::string context =
-              StrCat("seed#", s, " op#", op, " column attr ", a);
-          ASSERT_NO_FATAL_FAILURE(testutil::VerifyColumnMatchesFreshBuild(
-              *lhs->CodeColumnFor(a), cow.rows(), context + " cow"));
-          ASSERT_NO_FATAL_FAILURE(testutil::VerifyColumnMatchesFreshBuild(
-              *rhs->CodeColumnFor(a), locked.rows(), context + " locked"));
-        }
+        ASSERT_NO_FATAL_FAILURE(
+            VerifyAgainstRebuild(rel, keys, StrCat("seed#", s, " op#", op)));
       }
     }
-    ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuildAtQuiesce(
-        cow, cow_keys, StrCat("seed#", s, " cow quiesce")));
+    ASSERT_NO_FATAL_FAILURE(
+        VerifyAgainstRebuild(rel, keys, StrCat("seed#", s, " quiesce")));
 
-    // Mode-defining counter identities, both directions.
-    const PliCache::StatsSnapshot cs = cow.pli_cache()->Stats();
-    const PliCache::StatsSnapshot ls = locked.pli_cache()->Stats();
-    ASSERT_EQ(cs.publishes, cs.flushes) << "seed#" << s;
-    ASSERT_GT(cs.publishes, 0u) << "seed#" << s;
-    ASSERT_EQ(ls.publishes, 0u)
-        << "seed#" << s << " locked mode must never publish";
-    ASSERT_EQ(ls.epoch, 0u) << "seed#" << s;
-    ASSERT_EQ(cow.pli_cache()->SnapshotEpoch(), cs.epoch) << "seed#" << s;
-    ASSERT_EQ(locked.pli_cache()->SnapshotEpoch(), 0u) << "seed#" << s;
+    const PliCache::StatsSnapshot stats = rel.pli_cache()->Stats();
+    ASSERT_EQ(stats.publishes, stats.flushes) << "seed#" << s;
+    ASSERT_GT(stats.publishes, 0u) << "seed#" << s;
+    ASSERT_EQ(rel.pli_cache()->SnapshotEpoch(), stats.epoch) << "seed#" << s;
   }
 }
 
@@ -449,12 +405,12 @@ TEST(CacheRefreshCoalescing, LevelWiseDiscoveryStaysUnderTheRefreshBound) {
       << " misses";
   EXPECT_EQ(stats.publishes, 0u) << "discovery never flushes";
   // Coalescing changes when entries become lock-free, never the answer.
-  PliCacheOptions locked_options;
-  locked_options.cow_reads = false;
-  PliCache locked(&inst.rows, locked_options);
-  DependencyValidator locked_validator(&locked);
+  DiscoveryOptions brute;
+  brute.max_lhs_size = options.max_lhs_size;
+  brute.minimal_only = options.minimal_only;
+  brute.use_engine = false;
   const DependencySet oracle =
-      EngineDiscoverDependencies(&locked_validator, inst.universe, options);
+      DiscoverDependencies(inst.rows, inst.universe, brute);
   EXPECT_EQ(found.fds(), oracle.fds());
   EXPECT_EQ(found.ads(), oracle.ads());
   telemetry::Disable();
@@ -498,12 +454,8 @@ TEST(CacheRefreshCoalescing, EvictedPartitionIsReleasedWithinTheLagBound) {
 }
 
 TEST(CacheRefreshCoalescing, UnpublishedEntryIsServedByTheLockedLookup) {
-  telemetry::Enable();
-  const uint64_t lock_waits_before =
-      telemetry::CounterValue("engine.pli_cache.reader_lock_waits");
   const testutil::PlantedFdInstance inst = WidePlantedInstance();
   PliCache cache(&inst.rows);
-  ASSERT_TRUE(cache.options().cow_reads);
   for (AttrId a : inst.universe) (void)cache.Get(AttrSet::Of(a));
   // Build pairs until one lands without a refresh: that entry is in the
   // live table but not in the published snapshot.
@@ -535,10 +487,6 @@ TEST(CacheRefreshCoalescing, UnpublishedEntryIsServedByTheLockedLookup) {
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_EQ(after.hits, before.hits + 1);
   EXPECT_EQ(cache.SnapshotEpoch(), epoch) << "a hit must not republish";
-  EXPECT_EQ(telemetry::CounterValue("engine.pli_cache.reader_lock_waits"),
-            lock_waits_before)
-      << "serving an unpublished entry counted as a reader lock wait";
-  telemetry::Disable();
 }
 
 }  // namespace

@@ -39,6 +39,7 @@ using testutil::RandomSoakTuple;
 using testutil::RandomSoakValue;
 using testutil::SoakEmployeeConfig;
 using testutil::VerifyColumnMatchesFreshBuild;
+using testutil::VerifyProbeEquivalent;
 
 uint64_t SoakSeed(uint64_t salt) {
   return TestSeed(0xF1E37A11DEADBEEFull, salt, "soak");
@@ -160,35 +161,6 @@ struct SoakKeys {
   std::vector<AttrSet> partitions;
   std::vector<AttrId> columns;
 };
-
-// A patched probe must describe the same clustering as a from-scratch
-// rebuild's — up to relabeling: incremental maintenance keeps labels
-// *stable* (a fresh cluster takes a fresh label), the rebuild's are
-// canonical indices, so equivalence is a label bijection with identical
-// kNoCluster rows.
-void VerifyProbeEquivalent(const PliProbe& patched, const Pli& fresh_pli,
-                           const std::string& context) {
-  PliProbe fresh = fresh_pli.BuildProbe();
-  ASSERT_EQ(patched.labels.size(), fresh.labels.size()) << context;
-  std::unordered_map<int32_t, int32_t> patched_to_fresh;
-  std::unordered_map<int32_t, int32_t> fresh_to_patched;
-  for (size_t i = 0; i < fresh.labels.size(); ++i) {
-    const int32_t p = patched.labels[i];
-    const int32_t f = fresh.labels[i];
-    ASSERT_EQ(p == Pli::kNoCluster, f == Pli::kNoCluster)
-        << context << " probe membership of row " << i << " diverged";
-    if (f == Pli::kNoCluster) continue;
-    ASSERT_GE(p, 0) << context;
-    ASSERT_LT(p, patched.label_bound)
-        << context << " label of row " << i << " breaks the bound";
-    auto [pf, _1] = patched_to_fresh.try_emplace(p, f);
-    ASSERT_EQ(pf->second, f)
-        << context << " patched label " << p << " spans two clusters";
-    auto [fp, _2] = fresh_to_patched.try_emplace(f, p);
-    ASSERT_EQ(fp->second, p)
-        << context << " cluster " << f << " carries two patched labels";
-  }
-}
 
 // Asserts every tracked structure of `rel`'s attached cache equals a
 // from-scratch rebuild over the current rows — clusters, counters, arena
@@ -320,8 +292,6 @@ TEST(EngineIncrementalSoak, OversizedSeedClustersFallBackToLazyRebuild) {
 
   // The lazily re-intersected entry (built from the *patched* bases) must
   // equal a from-scratch rebuild, and patching must keep working after it.
-  // The Get is also what flushes the buffered delta (deltas are deferred to
-  // the next read), so the patch_rebuilds assertion comes after it.
   PliCache fresh(&rel.rows());
   EXPECT_EQ(*cache->Get(AttrSet{a, b}), *fresh.Get(AttrSet{a, b}));
   EXPECT_GT(cache->Stats().patch_rebuilds, 0u)
@@ -973,7 +943,7 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
       ASSERT_TRUE(delta.ok()) << delta.status();
       what = StrCat("single-update(row=", row, ")");
     }
-    warm();  // reads flush the buffered burst through the adaptive policy
+    warm();  // re-reads (and rebuilds) whatever the burst's flush dropped
     ASSERT_NO_FATAL_FAILURE(VerifyAgainstRebuild(
         rel, keys, StrCat("burst round#", round, " [", what, "]")));
     {
@@ -999,7 +969,6 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   EXPECT_GT(cache->Stats().patches, 0u) << "per-row path never ran";
   EXPECT_GT(cache->Stats().batch_applies, 0u) << "batched path never ran";
   EXPECT_GT(cache->Stats().full_drops, 0u) << "drop-everything path never ran";
-  EXPECT_EQ(cache->Stats().pending_deltas, 0u);
   EXPECT_EQ(cache.get(), rel.pli_cache().get())
       << "batched maintenance must keep the attached cache alive";
 
@@ -1028,7 +997,7 @@ TEST(EngineIncrementalSoak, BatchBurstsMatchRebuildsAcrossAllPolicies) {
   EXPECT_EQ(per_row + batched + dropped, flushes);
   // Flush-phase histograms: each phase is timed at most once per counted
   // flush and nests inside the flush's own timer, so no phase can out-count
-  // the flushes or out-sum flush_ns. The default COW mode runs all three.
+  // the flushes or out-sum flush_ns. Every patching flush runs all three.
   const telemetry::Histogram::Snapshot flush_ns =
       registry.GetHistogram("engine.pli_cache.flush_ns")->Snap();
   for (const char* phase :

@@ -3,8 +3,8 @@
 // instances the discovery suites cross-validate on, the employee-workload
 // mutation step the eval and incremental soaks both drive, and the
 // planted-FD / Zipfian shapes the hybrid-discovery differential harness
-// sweeps, plus the code-column rebuild check the cache soaks share and the
-// row-walk check of a relation's attribute-presence statistics.
+// sweeps, plus the code-column and probe rebuild checks the cache soaks
+// share and the row-walk check of a relation's attribute-presence statistics.
 // Everything is driven by an explicit Rng so suites stay replayable through
 // tests/test_seed.h.
 
@@ -16,11 +16,13 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/dependency_set.h"
 #include "core/flexible_relation.h"
 #include "engine/dictionary.h"
+#include "engine/pli.h"
 #include "relational/tuple.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -242,6 +244,36 @@ inline void VerifyColumnMatchesFreshBuild(const CodeColumn& column,
     ASSERT_NE(mine, CodeColumn::kMissingCode) << context << " code " << c;
     EXPECT_EQ(column.Bucket(mine), fresh.Bucket(c))
         << context << " bucket of code " << c;
+  }
+}
+
+/// A patched probe must describe the same clustering as a from-scratch
+/// rebuild's — up to relabeling: incremental maintenance keeps labels
+/// *stable* (a fresh cluster takes a fresh label), the rebuild's are
+/// canonical indices, so equivalence is a label bijection with identical
+/// kNoCluster rows.
+inline void VerifyProbeEquivalent(const PliProbe& patched,
+                                  const Pli& fresh_pli,
+                                  const std::string& context) {
+  PliProbe fresh = fresh_pli.BuildProbe();
+  ASSERT_EQ(patched.labels.size(), fresh.labels.size()) << context;
+  std::unordered_map<int32_t, int32_t> patched_to_fresh;
+  std::unordered_map<int32_t, int32_t> fresh_to_patched;
+  for (size_t i = 0; i < fresh.labels.size(); ++i) {
+    const int32_t p = patched.labels[i];
+    const int32_t f = fresh.labels[i];
+    ASSERT_EQ(p == Pli::kNoCluster, f == Pli::kNoCluster)
+        << context << " probe membership of row " << i << " diverged";
+    if (f == Pli::kNoCluster) continue;
+    ASSERT_GE(p, 0) << context;
+    ASSERT_LT(p, patched.label_bound)
+        << context << " label of row " << i << " breaks the bound";
+    auto [pf, _1] = patched_to_fresh.try_emplace(p, f);
+    ASSERT_EQ(pf->second, f)
+        << context << " patched label " << p << " spans two clusters";
+    auto [fp, _2] = fresh_to_patched.try_emplace(f, p);
+    ASSERT_EQ(fp->second, p)
+        << context << " cluster " << f << " carries two patched labels";
   }
 }
 
